@@ -56,18 +56,12 @@ BENCHMARK(BM_ObjectiveEvaluation)
     ->Unit(benchmark::kMillisecond);
 
 // Same objective evaluation routed through each execution backend
-// (docs/performance.md, "Execution backends"). Backends lacking hardware
-// support on this machine are skipped rather than silently falling back,
-// so the reported series always measures what its label claims.
+// (docs/performance.md, "Execution backends"). cpu_simd runs its portable
+// lanes on machines without AVX2.
 void BM_ObjectiveEvaluationBackend(benchmark::State& state) {
   const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                     &exec::simdBackend(),
-                                     &exec::simdFloatBackend()};
+                                     &exec::simdBackend()};
   const exec::Backend& backend = *backends[state.range(0)];
-  if (backend.accelerated() && !exec::cpuHasAvx2()) {
-    state.SkipWithError("AVX2 not available on this machine");
-    return;
-  }
   env().sim.setBackend(&backend);
   IltConfig cfg = defaultIltConfig(OpcMethod::kMosaicFast, 4);
   IltObjective obj(env().sim, env().target, cfg);
@@ -81,7 +75,6 @@ void BM_ObjectiveEvaluationBackend(benchmark::State& state) {
 BENCHMARK(BM_ObjectiveEvaluationBackend)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullOptimization(benchmark::State& state) {

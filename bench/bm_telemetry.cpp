@@ -5,21 +5,25 @@
 /// enabled, and spans plus a per-op progress publish to a watcher-less
 /// ProgressBus (the serve streaming path when nobody is watching) -- plus
 /// the raw cost of an empty span and the Prometheus /metrics encode cost.
-/// Reports the relative overheads, emits BENCH_telemetry.json, and with
-/// --max-overhead-pct N exits nonzero when either the disabled-mode or the
-/// idle-sink overhead exceeds N percent (the guarantee the docs advertise;
-/// enforced by the telemetry_overhead ctest at 3 %).
+/// Reports the relative overheads (the median over repetitions of each
+/// variant's time paired with the same repetition's uninstrumented time),
+/// emits BENCH_telemetry.json, and with --max-overhead-pct N exits nonzero
+/// when either the disabled-mode or the idle-sink overhead exceeds N
+/// percent (the guarantee the docs advertise; enforced by the
+/// telemetry_overhead ctest at 3 %).
 ///
 /// The workload uses the 1-D FftPlan directly: unlike Fft2d::forward it
 /// carries no MOSAIC_SPAN itself, so the uninstrumented variant is a true
 /// zero-telemetry baseline within one binary.
 
+#include <algorithm>
 #include <complex>
 #include <cstdio>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "machine_stamp.hpp"
 #include "math/fft.hpp"
 #include "serve/progress.hpp"
 #include "support/cli.hpp"
@@ -33,15 +37,18 @@ int main(int argc, char** argv) {
   using namespace mosaic;
   int fftSize = 4096;
   int iters = 300;
-  int reps = 7;
+  int reps = 11;
   double maxOverheadPct = -1.0;
   std::string jsonPath = "BENCH_telemetry.json";
 
   CliParser cli("bm_telemetry",
                 "overhead of MOSAIC_SPAN instrumentation on an FFT workload");
   cli.addInt("fft-size", &fftSize, "1-D FFT length per instrumented call");
-  cli.addInt("iters", &iters, "FFT round-trips per timed repetition");
-  cli.addInt("reps", &reps, "repetitions (minimum is reported)");
+  cli.addInt("iters", &iters,
+             "FFT round-trips per variant per timed repetition");
+  cli.addInt("reps", &reps,
+             "repetitions, each interleaving all variants (the median "
+             "paired ratio is reported)");
   cli.addDouble("max-overhead-pct", &maxOverheadPct,
                 "fail when disabled-mode overhead exceeds this (<0 = off)");
   cli.addString("json", &jsonPath, "output JSON path");
@@ -62,59 +69,76 @@ int main(int argc, char** argv) {
       plan.inverse(data.data());
     };
 
-    // Minimum over repetitions rejects scheduler noise; each repetition is
-    // tens of milliseconds so the span cost is amortized over real work,
-    // matching how the production spans wrap multi-microsecond calls.
-    auto timeVariant = [&](auto&& body) {
-      double best = 0.0;
-      for (int r = 0; r < reps; ++r) {
-        WallTimer timer;
-        for (int i = 0; i < iters; ++i) body();
-        const double s = timer.seconds();
-        if (r == 0 || s < best) best = s;
-      }
-      return best;
-    };
-
-    op();  // touch everything once before timing
-
-    const double tBase = timeVariant(op);
-
-    telemetry::setTraceEnabled(false);
-    const double tDisabled = timeVariant([&] {
-      MOSAIC_SPAN("bm.fft_roundtrip");
-      op();
-    });
-
-    telemetry::setTraceEnabled(true);
-    telemetry::clearTrace();
-    const double tEnabled = timeVariant([&] {
-      MOSAIC_SPAN("bm.fft_roundtrip");
-      op();
-    });
-    telemetry::setTraceEnabled(false);
-    telemetry::clearTrace();
-
     // Streaming progress with no watcher attached: every op also builds
     // and publishes one event to a subscriber-less ProgressBus topic, the
     // state a serving daemon is in whenever a job runs unwatched. This is
     // the per-iteration cost OptimizeOptions::progressSink adds.
     serve::ProgressBus bus;
     int sinkIteration = 0;
-    const double tSink = timeVariant([&] {
-      MOSAIC_SPAN("bm.fft_roundtrip");
-      op();
-      serve::ProgressEvent event;
-      event.job = "bm-job";
-      event.seq = bus.nextSeq(event.job);
-      event.iteration = ++sinkIteration;
-      event.objective = 1.0;
-      event.fTarget = 0.5;
-      event.fPvb = 0.5;
-      event.gradRms = 0.1;
-      event.wallMs = 1.0;
-      bus.publish(event);
-    });
+
+    enum Variant { kBase, kDisabled, kEnabled, kSink, kVariants };
+    const auto runVariant = [&](int v, int count) {
+      telemetry::setTraceEnabled(v == kEnabled);
+      WallTimer timer;
+      for (int i = 0; i < count; ++i) {
+        if (v == kBase) {
+          op();
+          continue;
+        }
+        MOSAIC_SPAN("bm.fft_roundtrip");
+        op();
+        if (v == kSink) {
+          serve::ProgressEvent event;
+          event.job = "bm-job";
+          event.seq = bus.nextSeq(event.job);
+          event.iteration = ++sinkIteration;
+          event.objective = 1.0;
+          event.fTarget = 0.5;
+          event.fPvb = 0.5;
+          event.gradRms = 0.1;
+          event.wallMs = 1.0;
+          bus.publish(event);
+        }
+      }
+      const double seconds = timer.seconds();
+      telemetry::setTraceEnabled(false);
+      telemetry::clearTrace();
+      return seconds;
+    };
+
+    // Each repetition runs `iters` ops of every variant, interleaved in
+    // blocks of kBlock ops (about a millisecond) in an order rotated per
+    // block, and scores each instrumented variant by its time relative to
+    // the uninstrumented time of the *same* repetition. Load or clock
+    // drift then hits every variant alike and cancels out of the ratio;
+    // the median over repetitions rejects the odd preempted repetition.
+    constexpr int kBlock = 10;
+    op();  // touch everything once before timing
+    std::vector<double> times[kVariants];
+    std::vector<double> ratios[kVariants];
+    for (int r = 0; r < reps; ++r) {
+      double t[kVariants] = {};
+      for (int done = 0, b = 0; done < iters; done += kBlock, ++b) {
+        const int count = std::min(kBlock, iters - done);
+        for (int k = 0; k < kVariants; ++k) {
+          const int v = (b + k) % kVariants;
+          t[v] += runVariant(v, count);
+        }
+      }
+      for (int v = 0; v < kVariants; ++v) {
+        times[v].push_back(t[v]);
+        ratios[v].push_back(t[v] / t[kBase]);
+      }
+    }
+    const auto median = [](std::vector<double> xs) {
+      std::sort(xs.begin(), xs.end());
+      const std::size_t m = xs.size() / 2;
+      return xs.size() % 2 == 1 ? xs[m] : 0.5 * (xs[m - 1] + xs[m]);
+    };
+    const double tBase = median(times[kBase]);
+    const double tDisabled = median(times[kDisabled]);
+    const double tEnabled = median(times[kEnabled]);
+    const double tSink = median(times[kSink]);
 
     // Raw per-span cost, histogram-only mode (the hot production path).
     constexpr int kEmptySpans = 1000000;
@@ -148,15 +172,15 @@ int main(int argc, char** argv) {
     const double usPerEncode = encodeTimer.seconds() * 1e6 / kEncodes;
 
     const double usPerOp = tBase * 1e6 / iters;
-    auto overheadPct = [&](double t) {
-      return std::max(0.0, (t - tBase) / tBase * 100.0);
+    auto overheadPct = [&](int v) {
+      return std::max(0.0, (median(ratios[v]) - 1.0) * 100.0);
     };
-    const double disabledPct = overheadPct(tDisabled);
-    const double enabledPct = overheadPct(tEnabled);
-    const double sinkPct = overheadPct(tSink);
+    const double disabledPct = overheadPct(kDisabled);
+    const double enabledPct = overheadPct(kEnabled);
+    const double sinkPct = overheadPct(kSink);
 
     std::printf("== bm_telemetry: %d-pt FFT round-trip (%.1f us/op), "
-                "%d iters x %d reps ==\n",
+                "%d iters x %d interleaved reps, medians ==\n",
                 fftSize, usPerOp, iters, reps);
     TextTable table;
     table.setHeader({"variant", "time (s)", "overhead"});
@@ -179,6 +203,7 @@ int main(int argc, char** argv) {
     MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
     std::fprintf(json,
                  "{\n  \"bench\": \"bm_telemetry\",\n"
+                 "  \"machine\": %s,\n"
                  "  \"fft_size\": %d,\n  \"iters\": %d,\n  \"reps\": %d,\n"
                  "  \"us_per_op\": %.3f,\n"
                  "  \"baseline_s\": %.6f,\n"
@@ -191,7 +216,8 @@ int main(int argc, char** argv) {
                  "  \"empty_span_ns\": %.1f,\n"
                  "  \"prometheus_encode_us\": %.2f,\n"
                  "  \"prometheus_bytes\": %zu\n}\n",
-                 fftSize, iters, reps, usPerOp, tBase, tDisabled, tEnabled,
+                 bench::machineStampJson().c_str(), fftSize, iters, reps,
+                 usPerOp, tBase, tDisabled, tEnabled,
                  tSink, disabledPct, enabledPct, sinkPct, nsPerSpan,
                  usPerEncode, promBytes);
     std::fclose(json);

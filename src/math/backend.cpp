@@ -10,12 +10,8 @@ namespace exec {
 
 namespace {
 
-/// The pre-backend hot loops, frozen operation-for-operation. Every
-/// arithmetic expression and its evaluation order below matches the code
-/// that used to live in LithoSimulator::aerialFromSpectrum and
-/// IltObjective::accumulateGradient, so cpu_scalar results are
-/// bit-identical to the historical engine and serve as the equivalence
-/// oracle for the other backends.
+/// The SOCS loops written out plainly, one kernel at a time: the readable
+/// reference the cpu_simd backend is tested against.
 class ScalarBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "cpu_scalar"; }
@@ -86,7 +82,7 @@ class ScalarBackend final : public Backend {
 };
 
 std::atomic<const Backend*>& currentSlot() {
-  static std::atomic<const Backend*> slot{&scalarBackend()};
+  static std::atomic<const Backend*> slot{&simdBackend()};
   return slot;
 }
 
@@ -99,14 +95,9 @@ const Backend& scalarBackend() {
 
 const Backend* findBackend(std::string_view name) {
   if (name == "auto") return &simdBackend();
-  if (name == "cpu_scalar" || name == "scalar") return &scalarBackend();
-  if (name == "cpu_simd" || name == "simd") return &simdBackend();
-  if (name == "cpu_simd_f32" || name == "f32") return &simdFloatBackend();
+  if (name == "cpu_scalar") return &scalarBackend();
+  if (name == "cpu_simd") return &simdBackend();
   return nullptr;
-}
-
-std::string backendNames() {
-  return "auto, cpu_scalar, cpu_simd, cpu_simd_f32";
 }
 
 const Backend& currentBackend() {

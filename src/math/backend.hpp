@@ -9,28 +9,27 @@
 /// product, forward FFT, flipped sparse accumulate, Eq. 17). A Backend
 /// implements exactly those two primitives, so the simulator and the
 /// objective stay algorithm-shaped while the execution strategy —
-/// scalar loops, AVX2 lanes, pruned transforms, float32 — is swappable
-/// at runtime and GPU-shaped backends have a socket to land in later.
+/// scalar loops, AVX2 lanes, pruned transforms — is swappable at runtime
+/// and GPU-shaped backends have a socket to land in later.
 ///
 /// Implementations:
-///  - `cpu_scalar`: the pre-backend code paths, frozen operation-for-
-///    operation so results are bit-identical to the historical engine.
-///    This is the library default and the equivalence oracle.
 ///  - `cpu_simd`: batched multi-spectrum inverse transforms that skip
 ///    all-zero rows of the band-limited kernel spectra, a liveness-aware
 ///    column pass, explicit AVX2/FMA butterflies (portable 4-wide lanes
 ///    when AVX2 is unavailable), and fused weighted-|.|^2 accumulation.
-///    Agrees with cpu_scalar to ~1e-12 (tested at 1e-10).
-///  - `cpu_simd_f32`: opt-in single-precision aerial path (gradients stay
-///    double); gated by the acceptance tests in tests/test_backend.cpp.
+///    This is the library default: what the apps run, and what every
+///    test runs unless it picks a backend itself.
+///  - `cpu_scalar`: the plain per-kernel loops, kept as the readable
+///    reference that tests/test_backend.cpp compares cpu_simd against
+///    (agreement ~1e-12, tested at 1e-10). cpu_simd also falls back to
+///    it for grids under 8x8.
 ///
 /// Thread-safety: backends are immutable singletons; every method is
 /// const and uses only per-thread scratch. The process-wide selection
 /// (currentBackend/setCurrentBackend) is an atomic pointer — set it once
-/// at startup (CLI `--backend`), not concurrently with running work.
+/// at startup, not concurrently with running work.
 
 #include <complex>
-#include <string>
 #include <string_view>
 
 #include "math/fft.hpp"
@@ -52,21 +51,17 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Stable identifier used by --backend and the bench/JSON output.
+  /// Stable identifier used by findBackend and the bench/JSON output.
   [[nodiscard]] virtual const char* name() const = 0;
-
-  /// True when the fast path actually runs hardware SIMD (AVX2+FMA) as
-  /// opposed to portable fallback lanes.
-  [[nodiscard]] virtual bool accelerated() const { return false; }
 
   /// intensity += dose * sum_k weights[k] * |ifft(kernels[k] .* spectrum)|^2.
   ///
   /// `intensity` is accumulated into (callers pass a zeroed grid). How the
-  /// dose factor is applied is backend-defined: cpu_scalar replicates the
-  /// historical order (sum first, one dose sweep at the end) for bit
-  /// equality; SIMD backends fold it into the per-kernel weights. The two
-  /// orders agree to roundoff and the regression tests in
-  /// tests/test_backend.cpp pin the combination with resist blur.
+  /// dose factor is applied is backend-defined: cpu_scalar sums first and
+  /// applies the dose in one sweep at the end; cpu_simd folds it into the
+  /// per-kernel weights. The two orders agree to roundoff and the
+  /// regression tests in tests/test_backend.cpp pin the combination with
+  /// resist blur.
   virtual void accumulateCoherentIntensity(const Fft2d& fft,
                                            const ComplexGrid& spectrum,
                                            const SpectrumView* kernels,
@@ -89,27 +84,21 @@ class Backend {
                                         ComplexGrid& accum) const = 0;
 };
 
-/// The frozen pre-backend implementation (library default).
+/// The plain reference implementation.
 const Backend& scalarBackend();
-/// Batched/pruned implementation; AVX2+FMA when the CPU has it.
+/// Batched/pruned implementation (library default); AVX2+FMA when the
+/// CPU has it.
 const Backend& simdBackend();
-/// Opt-in float32 aerial path on top of the SIMD structure.
-const Backend& simdFloatBackend();
 
 /// Runtime AVX2+FMA detection (x86 only; false elsewhere).
 bool cpuHasAvx2();
 
-/// Resolve a --backend name: "cpu_scalar", "cpu_simd", "cpu_simd_f32" or
-/// "auto" (detection: cpu_simd, whose kernels degrade to portable lanes
-/// without AVX2). Returns nullptr for unknown names.
+/// Resolve a backend name: "cpu_scalar", "cpu_simd" or "auto" (cpu_simd,
+/// whose kernels degrade to portable lanes without AVX2). Returns nullptr
+/// for unknown names.
 const Backend* findBackend(std::string_view name);
 
-/// Comma-separated list of accepted --backend names (for help/usage text).
-std::string backendNames();
-
-/// Process-wide backend selection. Defaults to cpu_scalar so library
-/// consumers (and the existing test corpus) keep bit-identical behavior;
-/// the apps resolve --backend (default "auto") and set this at startup.
+/// Process-wide backend selection. Defaults to cpu_simd.
 const Backend& currentBackend();
 void setCurrentBackend(const Backend& backend);
 

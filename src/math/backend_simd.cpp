@@ -1,5 +1,5 @@
 /// \file backend_simd.cpp
-/// cpu_simd and cpu_simd_f32 execution backends (see backend.hpp).
+/// The cpu_simd execution backend (see backend.hpp).
 ///
 /// What makes this faster than cpu_scalar on the same plans:
 ///  - Pruned inverse transforms: SOCS kernel spectra are band-limited to
@@ -32,10 +32,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "math/scratch.hpp"
@@ -518,7 +514,6 @@ void conjMulInPlace(const RealGrid& gField, ComplexGrid& field) {
 class SimdBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "cpu_simd"; }
-  [[nodiscard]] bool accelerated() const override { return cpuHasAvx2(); }
 
   void accumulateCoherentIntensity(const Fft2d& fft,
                                    const ComplexGrid& spectrum,
@@ -642,218 +637,6 @@ class SimdBackend final : public Backend {
   }
 };
 
-// ---------------------------------------------------------------------------
-// cpu_simd_f32: single-precision aerial path
-// ---------------------------------------------------------------------------
-
-/// Minimal float radix-2 plan (twiddles computed in double, stored as
-/// float). Kept self-contained so the double plans stay untouched.
-class FloatPlan {
- public:
-  explicit FloatPlan(std::size_t n) : n_(n) {
-    logN_ = 0;
-    while ((std::size_t{1} << logN_) < n_) ++logN_;
-    bitrev_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      std::size_t rev = 0;
-      for (int b = 0; b < logN_; ++b) rev = (rev << 1) | ((i >> b) & 1u);
-      bitrev_[i] = rev;
-    }
-    twiddle_.assign(n_ == 1 ? 1 : n_, {1.0f, 0.0f});
-    for (std::size_t h = 1; h < n_; h <<= 1) {
-      const double theta = -3.14159265358979323846 / static_cast<double>(h);
-      for (std::size_t j = 0; j < h; ++j) {
-        const double a = theta * static_cast<double>(j);
-        twiddle_[h + j] = {static_cast<float>(std::cos(a)),
-                           static_cast<float>(std::sin(a))};
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] const std::vector<std::size_t>& bitReversal() const {
-    return bitrev_;
-  }
-  [[nodiscard]] const std::complex<float>* stageTwiddles(
-      std::size_t h) const {
-    return &twiddle_[h];
-  }
-
-  void transform(std::complex<float>* data, bool invert) const {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t j = bitrev_[i];
-      if (i < j) std::swap(data[i], data[j]);
-    }
-    for (std::size_t h = 1; h < n_; h <<= 1) {
-      const std::size_t len = h << 1;
-      const std::complex<float>* tw = &twiddle_[h];
-      for (std::size_t base = 0; base < n_; base += len) {
-        std::complex<float>* lo = data + base;
-        std::complex<float>* hi = lo + h;
-        for (std::size_t j = 0; j < h; ++j) {
-          const std::complex<float> w = invert ? std::conj(tw[j]) : tw[j];
-          const std::complex<float> t = hi[j] * w;
-          hi[j] = lo[j] - t;
-          lo[j] += t;
-        }
-      }
-    }
-    if (invert) {
-      const float scale = 1.0f / static_cast<float>(n_);
-      for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
-    }
-  }
-
- private:
-  std::size_t n_;
-  int logN_;
-  std::vector<std::size_t> bitrev_;
-  std::vector<std::complex<float>> twiddle_;
-};
-
-const FloatPlan& floatPlanFor(std::size_t n) {
-  static std::mutex mu;
-  static std::map<std::size_t, std::unique_ptr<FloatPlan>> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  auto& slot = cache[n];
-  if (!slot) slot = std::make_unique<FloatPlan>(n);
-  return *slot;
-}
-
-/// Liveness-aware float column pass (row-vector radix-2 butterflies).
-void floatColPass(const FloatPlan& colPlan, std::complex<float>* data,
-                  int cols, bool invert, std::uint8_t* live) {
-  const std::size_t n = colPlan.size();
-  if (n == 1) return;
-  const std::size_t limit = static_cast<std::size_t>(cols) * 2;
-  auto rowp = [&](std::size_t r) {
-    return reinterpret_cast<float*>(data + r * static_cast<std::size_t>(cols));
-  };
-  const std::vector<std::size_t>& rev = colPlan.bitReversal();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = rev[i];
-    if (i < j) {
-      if (live[i] | live[j]) {
-        float* a = rowp(i);
-        float* b = rowp(j);
-        std::swap_ranges(a, a + limit, b);
-      }
-      std::swap(live[i], live[j]);
-    }
-  }
-  for (std::size_t h = 1; h < n; h <<= 1) {
-    const std::size_t len = h << 1;
-    const std::complex<float>* tw = colPlan.stageTwiddles(h);
-    for (std::size_t base = 0; base < n; base += len) {
-      for (std::size_t j = 0; j < h; ++j) {
-        const std::size_t rlo = base + j;
-        const std::size_t rhi = rlo + h;
-        if (!(live[rlo] | live[rhi])) continue;
-        live[rlo] = live[rhi] = 1;
-        const std::complex<float> w = invert ? std::conj(tw[j]) : tw[j];
-        const float wr = w.real(), wi = w.imag();
-        float* lo = rowp(rlo);
-        float* hi = rowp(rhi);
-        for (std::size_t c = 0; c < limit; c += 2) {
-          const float hr = hi[c], hii = hi[c + 1];
-          const float tr = hr * wr - hii * wi;
-          const float ti = hr * wi + hii * wr;
-          const float lr = lo[c], li = lo[c + 1];
-          lo[c] = lr + tr;
-          lo[c + 1] = li + ti;
-          hi[c] = lr - tr;
-          hi[c + 1] = li - ti;
-        }
-      }
-    }
-  }
-  if (invert) {
-    const float scale = 1.0f / static_cast<float>(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (!live[r]) continue;
-      float* p = rowp(r);
-      for (std::size_t c = 0; c < limit; ++c) p[c] *= scale;
-    }
-  }
-}
-
-/// Float32 aerial path: the whole kernel sum runs in single precision
-/// (scatter, pruned transforms, weighted accumulation) and only the
-/// final per-pixel sum is widened back to double. Gradient chains stay
-/// double (they feed the optimizer's line search and are much more
-/// sensitive to cancellation), so this backend delegates those to
-/// cpu_simd. Accepted only under the tolerance tests in
-/// tests/test_backend.cpp; see docs/performance.md for the caveats.
-class SimdFloatBackend final : public Backend {
- public:
-  [[nodiscard]] const char* name() const override { return "cpu_simd_f32"; }
-  [[nodiscard]] bool accelerated() const override { return cpuHasAvx2(); }
-
-  void accumulateCoherentIntensity(const Fft2d& fft,
-                                   const ComplexGrid& spectrum,
-                                   const SpectrumView* kernels,
-                                   const double* weights, int count,
-                                   double dose,
-                                   RealGrid& intensity) const override {
-    const int rows = fft.rows();
-    const int cols = fft.cols();
-    if (rows < 8 || cols < 8) {
-      scalarBackend().accumulateCoherentIntensity(fft, spectrum, kernels,
-                                                  weights, count, dose,
-                                                  intensity);
-      return;
-    }
-    MOSAIC_SPAN("backend.aerial_f32");
-    const auto total = static_cast<std::size_t>(rows) *
-                       static_cast<std::size_t>(cols);
-    const FloatPlan& rowPlan = floatPlanFor(static_cast<std::size_t>(cols));
-    const FloatPlan& colPlan = floatPlanFor(static_cast<std::size_t>(rows));
-    thread_local std::vector<std::complex<float>> field;
-    thread_local std::vector<float> acc;
-    field.assign(total, {0.0f, 0.0f});
-    acc.assign(total, 0.0f);
-    std::vector<std::uint8_t> live(static_cast<std::size_t>(rows));
-    for (int k = 0; k < count; ++k) {
-      const SpectrumView& spec = kernels[k];
-      if (k > 0) std::fill(field.begin(), field.end(),
-                           std::complex<float>{0.0f, 0.0f});
-      std::fill(live.begin(), live.end(), std::uint8_t{0});
-      for (std::size_t i = 0; i < spec.count; ++i) {
-        const auto flat = static_cast<std::size_t>(spec.flatIndex[i]);
-        const std::complex<double> v = spectrum.data()[flat] * spec.value[i];
-        field[flat] = {static_cast<float>(v.real()),
-                       static_cast<float>(v.imag())};
-        live[flat / static_cast<std::size_t>(cols)] = 1;
-      }
-      for (int r = 0; r < rows; ++r) {
-        if (!live[static_cast<std::size_t>(r)]) continue;
-        rowPlan.transform(field.data() + static_cast<std::size_t>(r) * cols,
-                          /*invert=*/true);
-      }
-      floatColPass(colPlan, field.data(), cols, /*invert=*/true, live.data());
-      const auto w = static_cast<float>(weights[k] * dose);
-      for (std::size_t i = 0; i < total; ++i) {
-        const float re = field[i].real();
-        const float im = field[i].imag();
-        acc[i] += w * (re * re + im * im);
-      }
-    }
-    for (std::size_t i = 0; i < total; ++i) {
-      intensity.data()[i] += static_cast<double>(acc[i]);
-    }
-  }
-
-  void accumulateGradientChains(const Fft2d& fft,
-                                const ComplexGrid& maskSpectrum,
-                                const SpectrumView* kernels,
-                                const double* weights, int count,
-                                const RealGrid& gField,
-                                ComplexGrid& accum) const override {
-    simdBackend().accumulateGradientChains(fft, maskSpectrum, kernels,
-                                           weights, count, gField, accum);
-  }
-};
-
 }  // namespace
 
 bool cpuHasAvx2() {
@@ -868,11 +651,6 @@ bool cpuHasAvx2() {
 
 const Backend& simdBackend() {
   static SimdBackend backend;
-  return backend;
-}
-
-const Backend& simdFloatBackend() {
-  static SimdFloatBackend backend;
   return backend;
 }
 

@@ -1,6 +1,6 @@
-/// Property tests for the rebuilt FFT engine: invariants (Parseval,
-/// round-trip, Hermitian symmetry of real-input spectra), equivalence
-/// against the frozen legacy transforms, the spectral-vs-spatial blur
+/// Property tests for the FFT engine: invariants (Parseval, round-trip,
+/// Hermitian symmetry of real-input spectra), agreement of the complex and
+/// real-input paths with an O(n^2) DFT, the spectral-vs-spatial blur
 /// regression, scratch-pool reuse, and a thread hammer on the lock-free
 /// plan cache.
 
@@ -11,6 +11,7 @@
 #include <complex>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "math/convolution.hpp"
@@ -112,76 +113,92 @@ TEST(FftEngine, RealSpectrumIsHermitian) {
   }
 }
 
-// -------------------------------------------- equivalence against legacy
+// ------------------------------------------ agreement with a naive DFT
 
-TEST(FftEngine, ForwardMatchesLegacy) {
-  for (const int n : {4, 32, 128}) {
-    const ComplexGrid x = randomComplexGrid(n, n, 41u + n);
-    ComplexGrid fast = x;
-    ComplexGrid legacy = x;
-    const Fft2d& fft = fft2dFor(n, n);
-    fft.forward(fast);
-    fft.forwardLegacy(legacy);
-    EXPECT_LT(maxDiff(fast, legacy), 1e-10) << "size " << n;
+/// Direct 2-D DFT, X(k, l) = sum_{r,c} x(r, c) e^{-+2 pi i (kr/R + lc/C)},
+/// normalized by 1/(R*C) on inverse. Twiddles come from per-axis tables
+/// indexed modulo the length, so the reference itself carries no phase
+/// drift. O((R*C)^2): keep grids at or below 64 per side.
+ComplexGrid naiveDft(const ComplexGrid& x, bool invert) {
+  const int rows = x.rows();
+  const int cols = x.cols();
+  constexpr double kTwoPi = 6.28318530717958647692;
+  const double sign = invert ? 1.0 : -1.0;
+  const auto table = [&](int n) {
+    std::vector<std::complex<double>> w(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) {
+      w[static_cast<std::size_t>(j)] = std::polar(1.0, sign * kTwoPi * j / n);
+    }
+    return w;
+  };
+  const std::vector<std::complex<double>> wr = table(rows);
+  const std::vector<std::complex<double>> wc = table(cols);
+  const double scale = invert ? 1.0 / (static_cast<double>(rows) * cols) : 1.0;
+  ComplexGrid out(rows, cols);
+  for (int k = 0; k < rows; ++k) {
+    for (int l = 0; l < cols; ++l) {
+      std::complex<double> acc{0.0, 0.0};
+      for (int r = 0; r < rows; ++r) {
+        const std::complex<double> rowTwiddle =
+            wr[static_cast<std::size_t>((k * r) % rows)];
+        for (int c = 0; c < cols; ++c) {
+          acc += x(r, c) * rowTwiddle *
+                 wc[static_cast<std::size_t>((l * c) % cols)];
+        }
+      }
+      out(k, l) = acc * scale;
+    }
+  }
+  return out;
+}
 
-    fft.inverse(fast);
-    fft.inverseLegacy(legacy);
-    EXPECT_LT(maxDiff(fast, legacy), 1e-12) << "size " << n;
+/// Square and non-square shapes up to 64 per side, including the
+/// degenerate single-row / single-column plans.
+constexpr std::pair<int, int> kDftShapes[] = {
+    {1, 1}, {1, 16}, {16, 1}, {4, 4}, {8, 64}, {64, 8}, {16, 32}, {32, 16},
+    {64, 64}};
+
+TEST(FftEngine, ComplexPathMatchesNaiveDft) {
+  for (const auto& [rows, cols] : kDftShapes) {
+    const ComplexGrid x = randomComplexGrid(rows, cols, 41u + rows * cols);
+    const Fft2d& fft = fft2dFor(rows, cols);
+    ComplexGrid g = x;
+    fft.forward(g);
+    EXPECT_LT(maxDiff(g, naiveDft(x, false)), 1e-10) << rows << "x" << cols;
+
+    g = x;
+    fft.inverse(g);
+    EXPECT_LT(maxDiff(g, naiveDft(x, true)), 1e-12) << rows << "x" << cols;
   }
 }
 
-TEST(FftEngine, ForwardRealMatchesLegacy) {
-  for (const auto [rows, cols] :
-       {std::pair{16, 16}, std::pair{8, 64}, std::pair{128, 32}}) {
+TEST(FftEngine, ForwardRealMatchesNaiveDft) {
+  for (const auto& [rows, cols] : kDftShapes) {
     const RealGrid x = randomRealGrid(rows, cols, 53u + rows + cols);
-    const Fft2d& fft = fft2dFor(rows, cols);
-    const ComplexGrid fast = fft.forwardReal(x);
-    ComplexGrid legacy = toComplex(x);
-    fft.forwardLegacy(legacy);
-    EXPECT_LT(maxDiff(fast, legacy), 1e-10)
+    const ComplexGrid fast = fft2dFor(rows, cols).forwardReal(x);
+    EXPECT_LT(maxDiff(fast, naiveDft(toComplex(x), false)), 1e-10)
         << rows << "x" << cols;
   }
 }
 
-TEST(FftEngine, InverseRealMatchesLegacy) {
-  for (const auto [rows, cols] :
-       {std::pair{16, 16}, std::pair{64, 8}, std::pair{32, 128}}) {
+TEST(FftEngine, InverseRealMatchesNaiveDft) {
+  for (const auto& [rows, cols] : kDftShapes) {
+    // A Hermitian spectrum by construction: the naive DFT of a real grid.
+    // inverseRealInto only reads its non-redundant half; the naive
+    // inverse sees the full grid. Both must reproduce the real signal.
     const RealGrid x = randomRealGrid(rows, cols, 67u + rows + cols);
-    const Fft2d& fft = fft2dFor(rows, cols);
-
-    // Forward once, inverse through both paths: inverseRealInto only sees
-    // the non-redundant half of the spectrum, the legacy path the full
-    // grid; both must reproduce the original real signal.
-    ComplexGrid spectrum = fft.forwardReal(x);
-    ComplexGrid legacy = spectrum;
-    fft.inverseLegacy(legacy);
-
+    const ComplexGrid spectrum = naiveDft(toComplex(x), false);
+    const ComplexGrid naive = naiveDft(spectrum, true);
+    ComplexGrid workspace = spectrum;
     RealGrid fast(rows, cols);
-    fft.inverseRealInto(spectrum, fast);
+    fft2dFor(rows, cols).inverseRealInto(workspace, fast);
     for (int r = 0; r < rows; ++r) {
       for (int c = 0; c < cols; ++c) {
-        EXPECT_NEAR(fast(r, c), legacy(r, c).real(), 1e-10);
+        EXPECT_NEAR(fast(r, c), naive(r, c).real(), 1e-10)
+            << rows << "x" << cols << " at (" << r << "," << c << ")";
         EXPECT_NEAR(fast(r, c), x(r, c), 1e-10);
       }
     }
-  }
-}
-
-TEST(FftEngine, Reference1dMatchesFastPlan) {
-  const FftPlan plan(256);
-  Rng rng(97u);
-  std::vector<std::complex<double>> fast(256);
-  for (auto& v : fast) v = {rng.uniform() - 0.5, rng.uniform() - 0.5};
-  std::vector<std::complex<double>> ref = fast;
-  plan.forward(fast.data());
-  plan.transformReference(ref.data(), /*invert=*/false);
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_LT(std::abs(fast[i] - ref[i]), 1e-11);
-  }
-  plan.inverse(fast.data());
-  plan.transformReference(ref.data(), /*invert=*/true);
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_LT(std::abs(fast[i] - ref[i]), 1e-12);
   }
 }
 

@@ -435,11 +435,11 @@ TEST(Simulator, SameFocusComputesExactlyOnceUnderContention) {
   EXPECT_EQ(failpoint::hitCount("litho.kernel_load"), 1);
 }
 
-TEST(Simulator, NewFftEngineMatchesLegacyPath) {
-  // The acceptance bar for the rebuilt FFT engine: the imaging pipeline
-  // (real-input mask spectrum + fast inverse per kernel) must reproduce
-  // the frozen legacy transforms to 1e-10 on the continuous images and
-  // bit-exactly on the binary print.
+TEST(Simulator, ImagingMatchesComplexFftPath) {
+  // The imaging pipeline (real-input mask spectrum + the backend's pruned
+  // inverse per kernel) must reproduce a plain SOCS sum built on the
+  // complex fft.forward / fft.inverse to 1e-10 on the continuous images
+  // and bit-exactly on the binary print.
   LithoSimulator& sim = sharedSim();
   const int n = sim.gridSize();
   const BitGrid target = rasterize(lineLayout(64), 8);
@@ -449,48 +449,48 @@ TEST(Simulator, NewFftEngineMatchesLegacyPath) {
   const RealGrid aerial = sim.aerialFromSpectrum(spectrum, nominalCorner());
 
   const Fft2d& fft = fft2dFor(n, n);
-  ComplexGrid legacySpectrum(n, n);
+  ComplexGrid complexSpectrum(n, n);
   for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) legacySpectrum(r, c) = {mask(r, c), 0.0};
+    for (int c = 0; c < n; ++c) complexSpectrum(r, c) = {mask(r, c), 0.0};
   }
-  fft.forwardLegacy(legacySpectrum);
+  fft.forward(complexSpectrum);
   double specDiff = 0.0;
   for (std::size_t i = 0; i < spectrum.size(); ++i) {
     specDiff = std::max(
-        specDiff, std::abs(spectrum.data()[i] - legacySpectrum.data()[i]));
+        specDiff, std::abs(spectrum.data()[i] - complexSpectrum.data()[i]));
   }
   EXPECT_LT(specDiff, 1e-10);
 
-  // Legacy SOCS sum: per-kernel multiply + legacy inverse transform.
+  // Plain SOCS sum: per-kernel multiply + complex inverse transform.
   const KernelSet& set = sim.kernels(0.0);
-  RealGrid legacyAerial(n, n, 0.0);
+  RealGrid complexAerial(n, n, 0.0);
   ComplexGrid field(n, n);
   for (int k = 0; k < set.kernelCount(); ++k) {
-    set.kernels[static_cast<std::size_t>(k)].multiplyInto(legacySpectrum,
+    set.kernels[static_cast<std::size_t>(k)].multiplyInto(complexSpectrum,
                                                           field);
-    fft.inverseLegacy(field);
+    fft.inverse(field);
     const double w = set.weights[static_cast<std::size_t>(k)];
-    for (std::size_t i = 0; i < legacyAerial.size(); ++i) {
-      legacyAerial.data()[i] += w * std::norm(field.data()[i]);
+    for (std::size_t i = 0; i < complexAerial.size(); ++i) {
+      complexAerial.data()[i] += w * std::norm(field.data()[i]);
     }
   }
 
   double aerialDiff = 0.0;
   for (std::size_t i = 0; i < aerial.size(); ++i) {
     aerialDiff = std::max(
-        aerialDiff, std::fabs(aerial.data()[i] - legacyAerial.data()[i]));
+        aerialDiff, std::fabs(aerial.data()[i] - complexAerial.data()[i]));
   }
   EXPECT_LT(aerialDiff, 1e-10);
 
   const RealGrid zNew = sim.printContinuous(aerial);
-  const RealGrid zLegacy = sim.printContinuous(legacyAerial);
+  const RealGrid zComplex = sim.printContinuous(complexAerial);
   for (std::size_t i = 0; i < zNew.size(); ++i) {
-    ASSERT_NEAR(zNew.data()[i], zLegacy.data()[i], 1e-10);
+    ASSERT_NEAR(zNew.data()[i], zComplex.data()[i], 1e-10);
   }
   const BitGrid printNew = sim.printBinary(aerial);
-  const BitGrid printLegacy = sim.printBinary(legacyAerial);
+  const BitGrid printComplex = sim.printBinary(complexAerial);
   for (std::size_t i = 0; i < printNew.size(); ++i) {
-    ASSERT_EQ(printNew.data()[i], printLegacy.data()[i]);
+    ASSERT_EQ(printNew.data()[i], printComplex.data()[i]);
   }
 }
 
