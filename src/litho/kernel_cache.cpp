@@ -128,6 +128,7 @@ std::uint64_t opticsParameterDigest(const OpticsConfig& optics) {
   h.mix(optics.aberrations.comaX);
   h.mix(optics.aberrations.comaY);
   h.mix(optics.aberrations.spherical);
+  h.mix(kKernelSolverVersion);
   return h.digest();
 }
 

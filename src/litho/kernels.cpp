@@ -1,5 +1,8 @@
 #include "litho/kernels.hpp"
 
+#include <algorithm>
+
+#include "math/eigen.hpp"
 #include "support/error.hpp"
 
 namespace mosaic {
@@ -70,6 +73,11 @@ double KernelSet::weightSum() const {
   double acc = 0.0;
   for (double w : weights) acc += w;
   return acc;
+}
+
+int KernelSet::truncatedCount(int maxKernels) const {
+  if (maxKernels <= 0) return kernelCount();
+  return clusterSafeCount(weights, std::min(maxKernels, kernelCount()));
 }
 
 }  // namespace mosaic

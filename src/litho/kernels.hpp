@@ -55,6 +55,13 @@ struct KernelSet {
     return static_cast<int>(kernels.size());
   }
 
+  /// Kernels a SOCS sum uses when asked for `maxKernels`: all of them when
+  /// maxKernels <= 0, otherwise min(maxKernels, kernelCount()) widened to
+  /// the end of a degenerate weight cluster (clusterSafeCount), so the sum
+  /// never depends on the eigensolver's basis inside an eigenspace.
+  /// LithoSimulator::inLoopKernelCount reports a widening.
+  [[nodiscard]] int truncatedCount(int maxKernels) const;
+
   /// Sum of weights (after normalization this relates to total captured
   /// TCC energy).
   [[nodiscard]] double weightSum() const;

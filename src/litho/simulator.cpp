@@ -1,5 +1,7 @@
 #include "litho/simulator.hpp"
 
+#include <algorithm>
+
 #include "litho/kernel_cache.hpp"
 #include "litho/tcc.hpp"
 #include "math/convolution.hpp"
@@ -94,6 +96,17 @@ RealGrid LithoSimulator::aerial(const RealGrid& mask,
   return aerialFromSpectrum(maskSpectrum(mask), corner, maxKernels);
 }
 
+int LithoSimulator::inLoopKernelCount(double focusNm, int maxKernels) const {
+  const KernelSet& set = kernels(focusNm);
+  const int count = set.truncatedCount(maxKernels);
+  if (maxKernels > 0 && count != std::min(maxKernels, set.kernelCount())) {
+    LOG_INFO("SOCS truncation at " << maxKernels << " kernels splits a "
+             << "degenerate eigenvalue cluster at focus " << focusNm
+             << " nm; using " << count);
+  }
+  return count;
+}
+
 RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
                                             const ProcessCorner& corner,
                                             int maxKernels) const {
@@ -102,9 +115,7 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
                "spectrum grid mismatch");
   MOSAIC_SPAN("litho.aerial");
   const KernelSet& set = kernels(corner.focusNm);
-  const int count = (maxKernels <= 0)
-                        ? set.kernelCount()
-                        : std::min(maxKernels, set.kernelCount());
+  const int count = set.truncatedCount(maxKernels);
   const Fft2d& fft = fft2dFor(n, n);
   RealGrid intensity(n, n, 0.0);
   // The SOCS sum runs on the selected execution backend. The dose factor

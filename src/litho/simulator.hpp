@@ -69,12 +69,21 @@ class LithoSimulator {
     return backend_ ? *backend_ : exec::currentBackend();
   }
 
+  /// The kernel count aerial(mask, {focusNm, ...}, maxKernels) sums:
+  /// KernelSet::truncatedCount, which widens a count that ends inside a
+  /// degenerate eigenvalue cluster. Logs the widening at info level.
+  /// Callers that fix an in-loop count call this once when they are
+  /// configured, so the log line appears once per configuration and the
+  /// hot path stays silent.
+  int inLoopKernelCount(double focusNm, int maxKernels) const;
+
   /// Forward FFT of a real mask.
   [[nodiscard]] ComplexGrid maskSpectrum(const RealGrid& mask) const;
 
   /// Aerial image I = dose * sum_k w_k |M (x) h_k|^2 (Eq. 2).
   /// \param maxKernels 0 = use all kernels; otherwise truncate the SOCS sum
-  ///        (used by the optimizer's cheaper in-loop model).
+  ///        (used by the optimizer's cheaper in-loop model) at
+  ///        inLoopKernelCount(corner.focusNm, maxKernels).
   [[nodiscard]] RealGrid aerial(const RealGrid& mask,
                                 const ProcessCorner& corner,
                                 int maxKernels = 0) const;

@@ -5,6 +5,7 @@
 #include "litho/pupil.hpp"
 #include "math/eigen.hpp"
 #include "support/log.hpp"
+#include "support/telemetry/trace.hpp"
 
 namespace mosaic {
 
@@ -93,23 +94,43 @@ std::vector<std::complex<double>> buildTcc(
   return tcc;
 }
 
+int dcLatticeIndex(const std::vector<PupilSample>& lattice) {
+  for (std::size_t p = 0; p < lattice.size(); ++p) {
+    if (lattice[p].row == 0 && lattice[p].col == 0) {
+      return static_cast<int>(p);
+    }
+  }
+  return -1;
+}
+
 KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
   const auto lattice = pupilLattice(optics);
   const int n = static_cast<int>(lattice.size());
   LOG_DEBUG("TCC lattice has " << n << " pupil samples (focus " << focusNm
                                << " nm)");
-  const auto tcc = buildTcc(optics, focusNm, lattice);
-  const int keep = std::min(optics.kernelCount, n);
-  // Small lattices (every legacy 1024 nm clip) take the exact dense solve;
-  // chip-scale tile windows double the frequency resolution and push the
-  // lattice into the hundreds, where the full Jacobi sweep is O(n^3) and
-  // takes minutes -- there the truncated subspace solve recovers just the
-  // leading SOCS kernels in seconds.
-  constexpr int kDirectEigenLimit = 256;
-  const auto eig =
-      (n <= kDirectEigenLimit)
-          ? jacobiEigenHermitian(tcc, n)
-          : topEigenpairsHermitian(tcc, n, std::min(n, keep + 8));
+  std::vector<std::complex<double>> tcc;
+  {
+    MOSAIC_SPAN("litho.tcc.build");
+    tcc = buildTcc(optics, focusNm, lattice);
+  }
+  // The DC sample anchors each kernel's phase, which the combined kernel
+  // (a weighted sum of kernels) depends on. Eight eigenpairs beyond the
+  // requested count let the truncation below extend through a degenerate
+  // cluster; the lattice's 4-fold symmetry only produces pairs.
+  HermitianEigenResult eig;
+  {
+    MOSAIC_SPAN("litho.tcc.eigensolve");
+    eig = leadingEigenpairsHermitian(tcc, n,
+                                     std::min(n, optics.kernelCount + 8),
+                                     dcLatticeIndex(lattice));
+  }
+  const int requested = std::min(optics.kernelCount, n);
+  const int keep = clusterSafeCount(eig.eigenvalues, requested);
+  if (keep != requested) {
+    LOG_INFO("kernel count " << requested << " splits a degenerate TCC "
+                             << "eigenvalue cluster at focus " << focusNm
+                             << " nm; keeping " << keep << " kernels");
+  }
 
   KernelSet set;
   set.gridSize = optics.gridSize();
@@ -144,26 +165,56 @@ KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm) {
                "open-frame intensity vanished -- degenerate kernel set");
   for (auto& w : set.weights) w /= openFrame;
 
-  // Combined kernel (Eq. 21): sum_k w_k h_k, then rescale so its own
-  // open-frame field has unit magnitude, keeping gradient magnitudes on
-  // the same scale as the true intensity.
-  SparseSpectrum combined;
-  combined.gridSize = set.gridSize;
-  combined.flatIndex = set.kernels.front().flatIndex;
-  combined.value.assign(combined.flatIndex.size(), {0.0, 0.0});
-  for (std::size_t k = 0; k < set.kernels.size(); ++k) {
-    for (std::size_t i = 0; i < combined.value.size(); ++i) {
-      combined.value[i] += set.weights[k] * set.kernels[k].value[i];
-    }
-  }
-  const double dcMag = std::abs(combined.dcValue());
-  MOSAIC_CHECK(dcMag > 1e-12, "combined kernel has no DC response");
-  for (auto& v : combined.value) v /= dcMag;
-  set.combined = std::move(combined);
+  set.combined = combinedKernel(set);
 
   LOG_DEBUG("kernel set ready: " << set.kernels.size() << " kernels, top "
                                  << "weight " << set.weights.front());
   return set;
+}
+
+SparseSpectrum combinedKernel(const KernelSet& set) {
+  MOSAIC_CHECK(!set.kernels.empty(), "kernel set is empty");
+  // Eq. 21 leaves each kernel's unit coefficient c_k open, and the fast
+  // gradient depends on it through the cross terms w_j w_k that the
+  // rank-one H H^H adds. A kernel outside a degenerate cluster keeps its
+  // canonical phase (c_k = 1). Inside a cluster -- the lattice's x/y
+  // partner pairs -- the in-phase sum u_1 + u_2 would point the pair's
+  // share along one diagonal of its basis; partners in quadrature give a
+  // share that a real rotation of the basis changes only by a phase. So
+  // the m-th canonical vector of a cluster gets c = -(-i)^m: a pair enters
+  // as i u_2 - u_1. The phase and handedness are a convention
+  // (docs/ALGORITHMS.md).
+  SparseSpectrum combined;
+  combined.gridSize = set.gridSize;
+  combined.flatIndex = set.kernels.front().flatIndex;
+  combined.value.assign(combined.flatIndex.size(), {0.0, 0.0});
+  const int count = set.kernelCount();
+  int clusterStart = 0;
+  int clusterEnd = 0;
+  std::complex<double> coefficient{1.0, 0.0};
+  for (int k = 0; k < count; ++k) {
+    if (k == clusterEnd) {
+      clusterStart = k;
+      clusterEnd = clusterSafeCount(set.weights, k + 1);
+      coefficient = clusterEnd - clusterStart > 1
+                        ? std::complex<double>(-1.0, 0.0)
+                        : std::complex<double>(1.0, 0.0);
+    } else {
+      coefficient *= std::complex<double>(0.0, -1.0);
+    }
+    const std::complex<double> scale =
+        set.weights[static_cast<std::size_t>(k)] * coefficient;
+    const auto& value = set.kernels[static_cast<std::size_t>(k)].value;
+    for (std::size_t i = 0; i < combined.value.size(); ++i) {
+      combined.value[i] += scale * value[i];
+    }
+  }
+  // Rescale so the combined kernel's own open-frame field has unit
+  // magnitude, keeping gradient magnitudes on the scale of the intensity.
+  const double dcMag = std::abs(combined.dcValue());
+  MOSAIC_CHECK(dcMag > 1e-12, "combined kernel has no DC response");
+  for (auto& v : combined.value) v /= dcMag;
+  return combined;
 }
 
 }  // namespace mosaic

@@ -25,6 +25,11 @@ struct PupilSample {
 /// pupil cutoff NA/lambda.
 std::vector<PupilSample> pupilLattice(const OpticsConfig& optics);
 
+/// Position of the DC site (row 0, col 0) in `lattice`, or -1 when the
+/// lattice does not hold it. The eigensolver anchors each kernel's phase
+/// there.
+int dcLatticeIndex(const std::vector<PupilSample>& lattice);
+
 /// Build the TCC matrix restricted to the pupil lattice:
 /// T(p, q) = (1/S) * sum_s J(s) P(s + f_p) conj(P(s + f_q)),
 /// with J a uniform annular source sampled `sourceOversample` times finer
@@ -33,10 +38,17 @@ std::vector<std::complex<double>> buildTcc(
     const OpticsConfig& optics, double focusNm,
     const std::vector<PupilSample>& lattice);
 
-/// Decompose the TCC into the top `optics.kernelCount` SOCS kernels and
-/// normalize so the open-frame (mask == 1 everywhere) intensity is exactly
-/// 1.0. Also fills the combined kernel sum_k w_k h_k (Eq. 21), normalized
-/// so its open-frame field magnitude is 1.
+/// Decompose the TCC into the top `optics.kernelCount` SOCS kernels
+/// (widened to the end of a degenerate eigenvalue cluster) and normalize so
+/// the open-frame (mask == 1 everywhere) intensity is exactly 1.0. Also
+/// fills the combined kernel (combinedKernel).
 KernelSet computeKernelSet(const OpticsConfig& optics, double focusNm);
+
+/// The combined kernel of Eq. 21, sum_k c_k w_k h_k with unit coefficients
+/// c_k: 1 outside a degenerate eigenvalue cluster, -(-i)^m for the m-th
+/// vector inside one (docs/ALGORITHMS.md), rescaled so its open-frame field
+/// has unit magnitude. `set` must hold whole eigenspaces in the eigensolver's
+/// canonical basis; then the result depends on the TCC alone.
+SparseSpectrum combinedKernel(const KernelSet& set);
 
 }  // namespace mosaic

@@ -1,9 +1,8 @@
 #pragma once
 /// \file eigen.hpp
-/// Dense symmetric / Hermitian eigensolvers (cyclic Jacobi). Used to
-/// decompose the Hopkins TCC operator into SOCS kernels (paper Eq. 1-2):
-/// the kernels h_k are the top eigenvectors and the weights w_k the
-/// eigenvalues.
+/// Leading eigenpairs of a dense Hermitian matrix. Used to decompose the
+/// Hopkins TCC operator into SOCS kernels (paper Eq. 1-2): the kernels h_k
+/// are the top eigenvectors and the weights w_k the eigenvalues.
 
 #include <complex>
 #include <vector>
@@ -12,86 +11,57 @@
 
 namespace mosaic {
 
-/// Dense row-major real matrix, just enough surface for the eigensolvers.
-class Matrix {
- public:
-  Matrix() = default;
-  Matrix(int rows, int cols, double init = 0.0)
-      : rows_(rows), cols_(cols),
-        data_(static_cast<std::size_t>(rows) * cols, init) {
-    MOSAIC_CHECK(rows > 0 && cols > 0, "matrix dimensions must be positive");
-  }
-
-  static Matrix identity(int n) {
-    Matrix m(n, n);
-    for (int i = 0; i < n; ++i) m(i, i) = 1.0;
-    return m;
-  }
-
-  [[nodiscard]] int rows() const { return rows_; }
-  [[nodiscard]] int cols() const { return cols_; }
-
-  double& operator()(int r, int c) {
-    return data_[static_cast<std::size_t>(r) * cols_ + c];
-  }
-  double operator()(int r, int c) const {
-    return data_[static_cast<std::size_t>(r) * cols_ + c];
-  }
-
-  [[nodiscard]] bool isSquare() const { return rows_ == cols_; }
-
- private:
-  int rows_ = 0;
-  int cols_ = 0;
-  std::vector<double> data_;
-};
-
-/// Result of a symmetric eigendecomposition A = V diag(w) V^T with
-/// eigenvalues sorted in descending order; eigenvectors are the columns
-/// of V (stored per-eigenpair as vectors here).
-struct SymmetricEigenResult {
-  std::vector<double> eigenvalues;
-  std::vector<std::vector<double>> eigenvectors;  ///< [k][i]
-};
-
-/// Cyclic Jacobi eigensolver for a real symmetric matrix.
-/// \param a symmetric square matrix (symmetry is validated to tolerance).
-/// \param maxSweeps maximum full sweeps before giving up (throws if the
-///        off-diagonal norm has not converged by then).
-SymmetricEigenResult jacobiEigenSymmetric(const Matrix& a, int maxSweeps = 64);
-
-/// Result of a Hermitian eigendecomposition H = sum_k w_k v_k v_k^H with
-/// real eigenvalues sorted descending and orthonormal complex eigenvectors.
+/// The k algebraically largest eigenpairs of a Hermitian matrix H, so that
+/// H v_j = lambda_j v_j with lambda_0 >= lambda_1 >= ... and the v_j
+/// orthonormal.
 struct HermitianEigenResult {
-  std::vector<double> eigenvalues;
+  std::vector<double> eigenvalues;                              ///< [k]
   std::vector<std::vector<std::complex<double>>> eigenvectors;  ///< [k][i]
 };
 
-/// Hermitian eigensolver via the real 2n x 2n embedding
-/// [[Re(H), -Im(H)], [Im(H), Re(H)]]. Each complex eigenpair appears twice
-/// in the embedding; the implementation deduplicates by complex
-/// Gram-Schmidt within eigenvalue clusters.
-/// \param h row-major n x n Hermitian matrix.
-HermitianEigenResult jacobiEigenHermitian(
-    const std::vector<std::complex<double>>& h, int n, int maxSweeps = 64);
-
-/// Top-k eigenpairs of a Hermitian matrix via blocked subspace iteration
-/// with Rayleigh-Ritz extraction. Converges to the k algebraically largest
-/// eigenpairs (the dominant ones for the PSD TCC operator) without paying
-/// the O(n^3)-per-sweep cost of the full Jacobi solve -- the difference
-/// between seconds and many minutes for chip-scale tile windows whose
-/// pupil lattices run to hundreds of samples.
-///
-/// The iteration block is sized internally above k, start vectors come
-/// from a fixed-seed generator, and each returned eigenvector is rotated
-/// so its largest-magnitude component is real positive, so results are
-/// deterministic run to run.
-/// \param h row-major n x n Hermitian matrix.
-/// \param k number of leading eigenpairs to return (1 <= k <= n).
-/// \param maxIters iteration cap (throws if Ritz values have not settled).
-/// \param tol relative Ritz-value settling tolerance.
-HermitianEigenResult topEigenpairsHermitian(
+/// Top-k Hermitian eigensolver, one path for every matrix size:
+///   1. Householder reduction of H to a Hermitian tridiagonal matrix
+///      (reflectors kept, only the trailing block updated);
+///   2. a diagonal unitary that makes the off-diagonals real;
+///   3. every eigenvalue by implicit QL without vectors;
+///   4. the top k tridiagonal eigenvectors by inverse iteration from
+///      fixed-seed starts, Gram-Schmidt inside each eigenvalue cluster;
+///   5. back-transformation of just those k vectors, O(k n^2);
+///   6. canonicalEigenbasis on every eigenspace.
+/// Eigenvalues within 1e-8 |lambda_0| of each other form one eigenspace
+/// (clusterSafeCount); more than k pairs come back when the k-th eigenvalue
+/// is degenerate with the next, so no eigenspace is cut. Results are
+/// bit-identical run to run; a real symmetric H gives real eigenvectors.
+/// \param h row-major n x n Hermitian matrix (validated to 1e-9).
+/// \param k number of leading eigenpairs wanted (1 <= k <= n).
+HermitianEigenResult leadingEigenpairsHermitian(
     const std::vector<std::complex<double>>& h, int n, int k,
-    int maxIters = 600, double tol = 1e-11);
+    int phaseAnchor = -1);
+
+/// Replaces `basis` (orthonormal vectors spanning one eigenspace) by a
+/// basis that depends only on the span: pivoted Gram-Schmidt on the
+/// columns of the projector P = sum_j v_j v_j^H. Each step takes sample
+/// `phaseAnchor` while the part of its column not yet covered has squared
+/// norm above 1e-16, otherwise the sample whose column has the largest
+/// uncovered part (lowest index among those within 1e-9, relative, of it,
+/// so round-off cannot pick between symmetric samples). The new vector is
+/// that column orthonormalized against the earlier ones, with its pivot
+/// sample real and positive. For one vector this is the phase rule: the
+/// anchor sample real and positive when its magnitude exceeds 1e-8,
+/// otherwise the first largest-magnitude sample.
+void canonicalEigenbasis(std::vector<std::vector<std::complex<double>>>& basis,
+                         int phaseAnchor = -1);
+
+/// Widen a truncation `count` of the descending spectrum `values` so it
+/// never ends inside an eigenvalue cluster: while the last kept value and
+/// the first dropped one differ by at most 1e-8 * |values[0]|, one more is
+/// kept. Capped at values.size(). Truncating inside a cluster would make
+/// the result depend on the solver's arbitrary basis of that eigenspace.
+int clusterSafeCount(const std::vector<double>& values, int count);
+
+/// Worst eigenpair residual max_j ||H v_j - lambda_j v_j||_inf of `result`
+/// against the row-major n x n matrix `h`; O(k n^2).
+double maxEigenResidual(const std::vector<std::complex<double>>& h, int n,
+                        const HermitianEigenResult& result);
 
 }  // namespace mosaic

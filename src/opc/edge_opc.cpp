@@ -90,6 +90,8 @@ EdgeOpcResult runEdgeOpc(const LithoSimulator& sim, const BitGrid& target,
                "fragment length below two pixels");
   const int maxBiasPx = std::max(1, config.maxBiasNm / pixelNm);
   const int maxStepPx = std::max(1, config.maxStepNm / pixelNm);
+  // Bind the in-loop SOCS truncation once (a widening is logged here).
+  (void)sim.inLoopKernelCount(nominalCorner().focusNm, config.inLoopKernels);
 
   EdgeOpcResult result;
   result.fragments =

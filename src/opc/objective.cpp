@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "math/backend.hpp"
@@ -51,6 +52,18 @@ IltObjective::IltObjective(const LithoSimulator& sim, BitGrid target,
   samples_ = extractSamples(target_, config_.sampleSpacingNm / pixelNm);
   epeHalfWidthPx_ = std::max(
       1, static_cast<int>(std::lround(config_.epeThresholdNm / pixelNm)));
+  // Bind the in-loop SOCS truncation at every focus evaluate() images at,
+  // so a count widened through a degenerate cluster is reported once here
+  // instead of passing silently on every evaluation.
+  if (config_.inLoopKernels > 0) {
+    std::set<double> foci{nominalCorner().focusNm};
+    if (config_.beta > 0.0) {
+      for (const auto& corner : config_.pvbCorners) foci.insert(corner.focusNm);
+    }
+    for (const double focus : foci) {
+      (void)sim_.inLoopKernelCount(focus, config_.inLoopKernels);
+    }
+  }
 }
 
 RealGrid IltObjective::imageDiffGradientField(const RealGrid& zNominal,
@@ -162,10 +175,7 @@ void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
                      spec.flatIndex.size()});
     weights.push_back(1.0);
   } else {
-    const int count = (config_.inLoopKernels <= 0)
-                          ? kernels.kernelCount()
-                          : std::min(config_.inLoopKernels,
-                                     kernels.kernelCount());
+    const int count = kernels.truncatedCount(config_.inLoopKernels);
     for (int k = 0; k < count; ++k) {
       const SparseSpectrum& spec = kernels.kernels[static_cast<std::size_t>(k)];
       views.push_back({spec.flatIndex.data(), spec.value.data(),

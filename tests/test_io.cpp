@@ -321,6 +321,43 @@ TEST(KernelCache, OpticsAwareNameSeparatesPupilAndSourceSettings) {
                                               ".bin");
 }
 
+TEST(KernelCache, SolverVersionIsPartOfTheName) {
+  // Pinned: a change to this name means every kernel file and pattern-store
+  // entry on disk is recomputed, so it must be deliberate (bump
+  // kKernelSolverVersion when the eigensolver or phase convention changes).
+  const OpticsConfig optics;
+  EXPECT_EQ(kernelCacheName(optics, 0.0),
+            "kernels_g512_f0_o7fe3e3672b303447.bin");
+  EXPECT_EQ(kKernelSolverVersion, 2);
+
+  // A file under the name the version-1 (Jacobi) build used must not be
+  // looked up: plant one with a recognizable marker weight.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_version";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string oldName = "kernels_g512_f0_oc7dda30d56374165.bin";
+  ASSERT_NE(kernelCacheName(optics, 0.0), oldName);
+  KernelSet stale;
+  stale.gridSize = optics.gridSize();
+  stale.weights = {123.0};
+  SparseSpectrum dc;
+  dc.gridSize = stale.gridSize;
+  dc.flatIndex = {0};
+  dc.value = {{1.0, 0.0}};
+  stale.kernels = {dc};
+  stale.combined = dc;
+  saveKernelSet((dir / oldName).string(), stale);
+
+  LithoSimulator sim(optics);
+  sim.setKernelCacheDir(dir.string());
+  const KernelSet& set = sim.kernels(0.0);
+  EXPECT_EQ(set.kernelCount(), 24);
+  EXPECT_NE(set.weights.front(), 123.0);
+  EXPECT_TRUE(std::filesystem::exists(dir / kernelCacheName(optics, 0.0)));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(KernelCache, SavingEmptySetThrows) {
   KernelSet empty;
   EXPECT_THROW(saveKernelSet("/tmp/should_not_matter.bin", empty),

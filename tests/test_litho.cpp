@@ -4,14 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <thread>
 
 #include "geometry/raster.hpp"
+#include "litho/kernel_cache.hpp"
 #include "litho/pupil.hpp"
 #include "litho/simulator.hpp"
 #include "litho/tcc.hpp"
+#include "math/eigen.hpp"
+#include "math/fft.hpp"
 #include "math/stats.hpp"
 #include "support/failpoint.hpp"
+#include "support/log.hpp"
+#include "support/rng.hpp"
 #include "support/timer.hpp"
 
 namespace mosaic {
@@ -283,6 +289,166 @@ TEST(Tcc, CombinedKernelDcIsUnitMagnitude) {
   EXPECT_EQ(set.combined.gridSize, set.gridSize);
 }
 
+/// Complex forward FFT of a real mask (the plain path, no real-input
+/// shortcuts).
+ComplexGrid complexSpectrumOf(const RealGrid& mask) {
+  ComplexGrid spectrum(mask.rows(), mask.cols());
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    spectrum.data()[i] = mask.data()[i];
+  }
+  fft2dFor(mask.rows(), mask.cols()).forward(spectrum);
+  return spectrum;
+}
+
+/// Plain SOCS sum over the first `count` kernels of `set`: per-kernel
+/// multiply + complex inverse transform.
+RealGrid socsSum(const KernelSet& set, const ComplexGrid& spectrum,
+                 int count) {
+  const int n = set.gridSize;
+  const Fft2d& fft = fft2dFor(n, n);
+  RealGrid out(n, n, 0.0);
+  ComplexGrid field(n, n);
+  for (int k = 0; k < count; ++k) {
+    set.kernels[static_cast<std::size_t>(k)].multiplyInto(spectrum, field);
+    fft.inverse(field);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out.data()[i] += set.weights[static_cast<std::size_t>(k)] *
+                       std::norm(field.data()[i]);
+    }
+  }
+  return out;
+}
+
+double maxAbsDiff(const RealGrid& a, const RealGrid& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    worst = std::max(worst, std::fabs(a.data()[i] - b.data()[i]));
+  }
+  return worst;
+}
+
+/// Replace kernels k and k + 1 of `set` by a random unitary rotation of
+/// the pair: another basis of the same span.
+void rotatePair(KernelSet& set, int k, Rng& rng) {
+  const double theta = rng.uniform(0.1, 1.4);
+  const std::complex<double> a =
+      std::polar(std::cos(theta), rng.uniform(-3.1, 3.1));
+  const std::complex<double> b =
+      std::polar(std::sin(theta), rng.uniform(-3.1, 3.1));
+  auto& first = set.kernels[static_cast<std::size_t>(k)].value;
+  auto& second = set.kernels[static_cast<std::size_t>(k) + 1].value;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const std::complex<double> x = first[i];
+    const std::complex<double> y = second[i];
+    first[i] = a * x + b * y;
+    second[i] = -std::conj(b) * x + std::conj(a) * y;
+  }
+}
+
+double maxAbsDiff(const SparseSpectrum& a, const SparseSpectrum& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.value.size(); ++i) {
+    worst = std::max(worst, std::abs(a.value[i] - b.value[i]));
+  }
+  return worst;
+}
+
+TEST(Tcc, TruncationNeverSplitsADegenerateCluster) {
+  const OpticsConfig optics = testOptics(16);
+  LithoSimulator sim(optics);
+  // Default optics: the kernel count and the in-loop count already end on
+  // cluster gaps at both foci, so they are left alone.
+  for (const double focus : {0.0, 25.0}) {
+    const KernelSet& set = sim.kernels(focus);
+    EXPECT_EQ(set.kernelCount(), 24) << "focus " << focus;
+    EXPECT_EQ(set.truncatedCount(24), 24) << "focus " << focus;
+    EXPECT_EQ(set.truncatedCount(9), 9) << "focus " << focus;
+    EXPECT_EQ(set.truncatedCount(0), 24) << "focus " << focus;
+  }
+  // lambda_5 == lambda_6 at focus 25: six kernels widen to seven. Binding
+  // the count logs the widening once; the imaging hot path stays silent.
+  const KernelSet& defocus = sim.kernels(25.0);
+  EXPECT_EQ(sim.kernels(0.0).truncatedCount(6), 6);
+  EXPECT_EQ(defocus.truncatedCount(6), 7);
+  RealGrid mask = toReal(rasterize(lineLayout(96), 16));
+  for (int r = 10; r < 22; ++r) {
+    for (int c = 40; c < 50; ++c) mask(r, c) = 1.0;
+  }
+  const ProcessCorner corner{25.0, 1.0};
+  const LogLevel level = logLevel();
+  setLogLevel(LogLevel::kInfo);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(sim.inLoopKernelCount(25.0, 6), 7);
+  EXPECT_EQ(sim.inLoopKernelCount(0.0, 6), 6);
+  const RealGrid widened = sim.aerial(mask, corner, 6);
+  (void)sim.aerial(mask, corner, 6);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  setLogLevel(level);
+  const auto first = log.find("splits a degenerate");
+  ASSERT_NE(first, std::string::npos) << log;
+  EXPECT_EQ(log.find("splits a degenerate", first + 1), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("at focus 25 nm; using 7"), std::string::npos) << log;
+
+  // Replace the {5, 6} eigenspace basis by a random unitary rotation of
+  // itself (any basis is as valid as the solver's) and load it through the
+  // disk cache: the widened in-loop aerial image must not move.
+  ASSERT_NEAR(defocus.weights[5], defocus.weights[6],
+              1e-8 * defocus.weights[0]);
+  KernelSet rotated = defocus;
+  Rng rng(2024);
+  rotatePair(rotated, 5, rng);
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_cluster_rotation";
+  std::filesystem::create_directories(dir);
+  saveKernelSet((dir / kernelCacheName(optics, 25.0)).string(), rotated);
+  LithoSimulator rotatedSim(optics);
+  rotatedSim.setKernelCacheDir(dir.string());
+
+  EXPECT_LT(maxAbsDiff(widened, rotatedSim.aerial(mask, corner, 6)), 1e-12);
+  // The check has teeth: a sum cut between the pair does see the rotation.
+  const ComplexGrid spectrum = complexSpectrumOf(mask);
+  EXPECT_GT(maxAbsDiff(socsSum(defocus, spectrum, 6),
+                       socsSum(rotatedSim.kernels(25.0), spectrum, 6)),
+            1e-6);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Tcc, CombinedKernelIgnoresTheBasisOfAnEigenspace) {
+  // Eq. 21 sums each kernel with its own coefficient, so the combined
+  // kernel would follow the solver's basis inside a degenerate eigenspace.
+  // The solver's canonical basis removes that: rotate a pair's basis, put
+  // it back into canonical form, and the kernels and the combined kernel
+  // come back unchanged. Covers the dominant x/y pair at both foci.
+  const OpticsConfig optics = testOptics(16);
+  LithoSimulator sim(optics);
+  const int dc = dcLatticeIndex(pupilLattice(optics));
+  ASSERT_GE(dc, 0);
+  Rng rng(77);
+  for (const auto& [focus, pair] :
+       {std::pair{0.0, 1}, std::pair{0.0, 4}, std::pair{25.0, 1},
+        std::pair{25.0, 5}}) {
+    const KernelSet& set = sim.kernels(focus);
+    const auto k = static_cast<std::size_t>(pair);
+    ASSERT_NEAR(set.weights[k], set.weights[k + 1], 1e-8 * set.weights[0])
+        << "focus " << focus << " pair " << pair;
+    KernelSet rotated = set;
+    rotatePair(rotated, pair, rng);
+    // Teeth: the raw rotated basis does move the combined kernel.
+    EXPECT_GT(maxAbsDiff(combinedKernel(rotated), set.combined), 1e-3);
+
+    std::vector<std::vector<std::complex<double>>> basis = {
+        rotated.kernels[k].value, rotated.kernels[k + 1].value};
+    canonicalEigenbasis(basis, dc);
+    rotated.kernels[k].value = basis[0];
+    rotated.kernels[k + 1].value = basis[1];
+    EXPECT_LT(maxAbsDiff(rotated.kernels[k], set.kernels[k]), 1e-12);
+    EXPECT_LT(maxAbsDiff(rotated.kernels[k + 1], set.kernels[k + 1]), 1e-12);
+    EXPECT_LT(maxAbsDiff(combinedKernel(rotated), set.combined), 1e-12)
+        << "focus " << focus << " pair " << pair;
+  }
+}
+
 TEST(Tcc, SparseSpectrumHelpers) {
   SparseSpectrum s;
   s.gridSize = 4;
@@ -441,19 +607,13 @@ TEST(Simulator, ImagingMatchesComplexFftPath) {
   // complex fft.forward / fft.inverse to 1e-10 on the continuous images
   // and bit-exactly on the binary print.
   LithoSimulator& sim = sharedSim();
-  const int n = sim.gridSize();
   const BitGrid target = rasterize(lineLayout(64), 8);
   const RealGrid mask = toReal(target);
 
   const ComplexGrid spectrum = sim.maskSpectrum(mask);
   const RealGrid aerial = sim.aerialFromSpectrum(spectrum, nominalCorner());
 
-  const Fft2d& fft = fft2dFor(n, n);
-  ComplexGrid complexSpectrum(n, n);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) complexSpectrum(r, c) = {mask(r, c), 0.0};
-  }
-  fft.forward(complexSpectrum);
+  const ComplexGrid complexSpectrum = complexSpectrumOf(mask);
   double specDiff = 0.0;
   for (std::size_t i = 0; i < spectrum.size(); ++i) {
     specDiff = std::max(
@@ -461,26 +621,10 @@ TEST(Simulator, ImagingMatchesComplexFftPath) {
   }
   EXPECT_LT(specDiff, 1e-10);
 
-  // Plain SOCS sum: per-kernel multiply + complex inverse transform.
   const KernelSet& set = sim.kernels(0.0);
-  RealGrid complexAerial(n, n, 0.0);
-  ComplexGrid field(n, n);
-  for (int k = 0; k < set.kernelCount(); ++k) {
-    set.kernels[static_cast<std::size_t>(k)].multiplyInto(complexSpectrum,
-                                                          field);
-    fft.inverse(field);
-    const double w = set.weights[static_cast<std::size_t>(k)];
-    for (std::size_t i = 0; i < complexAerial.size(); ++i) {
-      complexAerial.data()[i] += w * std::norm(field.data()[i]);
-    }
-  }
-
-  double aerialDiff = 0.0;
-  for (std::size_t i = 0; i < aerial.size(); ++i) {
-    aerialDiff = std::max(
-        aerialDiff, std::fabs(aerial.data()[i] - complexAerial.data()[i]));
-  }
-  EXPECT_LT(aerialDiff, 1e-10);
+  const RealGrid complexAerial =
+      socsSum(set, complexSpectrum, set.kernelCount());
+  EXPECT_LT(maxAbsDiff(aerial, complexAerial), 1e-10);
 
   const RealGrid zNew = sim.printContinuous(aerial);
   const RealGrid zComplex = sim.printContinuous(complexAerial);

@@ -1,11 +1,12 @@
 /// Unit and property tests for the math library: Grid, FFT, convolution,
-/// eigensolvers, stats.
+/// eigensolver, stats.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 
+#include "litho/tcc.hpp"
 #include "math/convolution.hpp"
 #include "math/eigen.hpp"
 #include "math/fft.hpp"
@@ -500,253 +501,360 @@ TEST(GaussianBlur, SelfAdjoint) {
 
 // ---------------------------------------------------------------- eigen
 
-TEST(Eigen, DiagonalMatrixSortedDescending) {
-  Matrix m(3, 3);
-  m(0, 0) = 1.0;
-  m(1, 1) = 5.0;
-  m(2, 2) = 3.0;
-  const auto r = jacobiEigenSymmetric(m);
-  ASSERT_EQ(r.eigenvalues.size(), 3u);
-  EXPECT_NEAR(r.eigenvalues[0], 5.0, 1e-12);
-  EXPECT_NEAR(r.eigenvalues[1], 3.0, 1e-12);
-  EXPECT_NEAR(r.eigenvalues[2], 1.0, 1e-12);
+using CplxMatrix = std::vector<Cplx>;  // row-major n x n
+
+Cplx& entry(CplxMatrix& h, int n, int r, int c) {
+  return h[static_cast<std::size_t>(r) * n + c];
 }
 
-TEST(Eigen, Known2x2) {
-  // [[2,1],[1,2]] has eigenvalues 3 and 1.
-  Matrix m(2, 2);
-  m(0, 0) = 2;
-  m(0, 1) = 1;
-  m(1, 0) = 1;
-  m(1, 1) = 2;
-  const auto r = jacobiEigenSymmetric(m);
-  EXPECT_NEAR(r.eigenvalues[0], 3.0, 1e-12);
-  EXPECT_NEAR(r.eigenvalues[1], 1.0, 1e-12);
-  // eigenvector for 3 is (1,1)/sqrt(2) up to sign
-  EXPECT_NEAR(std::fabs(r.eigenvectors[0][0]), 1 / std::sqrt(2.0), 1e-10);
-  EXPECT_NEAR(r.eigenvectors[0][0], r.eigenvectors[0][1], 1e-10);
+CplxMatrix randomHermitian(int n, Rng& rng, bool real = false) {
+  CplxMatrix h(static_cast<std::size_t>(n) * n);
+  for (int r = 0; r < n; ++r) {
+    entry(h, n, r, r) = {rng.uniform(-1, 1), 0.0};
+    for (int c = r + 1; c < n; ++c) {
+      const Cplx v{rng.uniform(-1, 1), real ? 0.0 : rng.uniform(-1, 1)};
+      entry(h, n, r, c) = v;
+      entry(h, n, c, r) = std::conj(v);
+    }
+  }
+  return h;
 }
 
-TEST(Eigen, AsymmetricInputThrows) {
-  Matrix m(2, 2);
-  m(0, 1) = 1.0;
-  EXPECT_THROW(jacobiEigenSymmetric(m), InvalidArgument);
-  Matrix rect(2, 3);
-  EXPECT_THROW(jacobiEigenSymmetric(rect), InvalidArgument);
+/// Columns of a random n x n unitary (Gram-Schmidt of uniform random columns).
+std::vector<std::vector<Cplx>> randomUnitary(int n, Rng& rng) {
+  std::vector<std::vector<Cplx>> q(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    auto& col = q[static_cast<std::size_t>(j)];
+    col.resize(static_cast<std::size_t>(n));
+    for (auto& z : col) z = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    for (int p = 0; p < j; ++p) {
+      Cplx dot{0, 0};
+      for (int i = 0; i < n; ++i) dot += std::conj(q[p][i]) * col[i];
+      for (int i = 0; i < n; ++i) col[i] -= dot * q[p][i];
+    }
+    double len = 0.0;
+    for (const auto& z : col) len += std::norm(z);
+    for (auto& z : col) z /= std::sqrt(len);
+  }
+  return q;
 }
 
-class EigenReconstruction : public ::testing::TestWithParam<int> {};
-
-TEST_P(EigenReconstruction, SymmetricReconstructs) {
-  const int n = GetParam();
-  Rng rng(n * 7 + 3);
-  Matrix m(n, n);
+/// H = sum_j lambda_j q_j q_j^H, exactly Hermitian.
+CplxMatrix withSpectrum(const std::vector<double>& lambda,
+                        const std::vector<std::vector<Cplx>>& q) {
+  const int n = static_cast<int>(lambda.size());
+  CplxMatrix h(static_cast<std::size_t>(n) * n, Cplx{0, 0});
   for (int r = 0; r < n; ++r) {
     for (int c = r; c < n; ++c) {
-      m(r, c) = rng.uniform(-1, 1);
-      m(c, r) = m(r, c);
-    }
-  }
-  const auto res = jacobiEigenSymmetric(m);
-  // A = sum_k w_k v_k v_k^T
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      double acc = 0.0;
-      for (int k = 0; k < n; ++k) {
-        acc += res.eigenvalues[static_cast<std::size_t>(k)] *
-               res.eigenvectors[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(r)] *
-               res.eigenvectors[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(c)];
+      Cplx acc{0, 0};
+      for (int j = 0; j < n; ++j) {
+        acc += lambda[j] * q[j][r] * std::conj(q[j][c]);
       }
-      EXPECT_NEAR(acc, m(r, c), 1e-9);
+      entry(h, n, r, c) = (r == c) ? Cplx{acc.real(), 0.0} : acc;
+      entry(h, n, c, r) = std::conj(entry(h, n, r, c));
     }
   }
-  // Orthonormality.
-  for (int i = 0; i < n; ++i) {
-    for (int j = i; j < n; ++j) {
-      double dot = 0.0;
-      for (int k = 0; k < n; ++k) {
-        dot += res.eigenvectors[static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(k)] *
-               res.eigenvectors[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(k)];
-      }
-      EXPECT_NEAR(dot, i == j ? 1.0 : 0.0, 1e-9);
-    }
-  }
+  return h;
 }
 
-TEST_P(EigenReconstruction, HermitianReconstructs) {
+/// max_{i,j} |v_i^H v_j - delta_ij|
+double orthonormalityError(const HermitianEigenResult& e) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < e.eigenvectors.size(); ++i) {
+    for (std::size_t j = i; j < e.eigenvectors.size(); ++j) {
+      Cplx dot{0, 0};
+      for (std::size_t r = 0; r < e.eigenvectors[i].size(); ++r) {
+        dot += std::conj(e.eigenvectors[i][r]) * e.eigenvectors[j][r];
+      }
+      const Cplx want = i == j ? Cplx{1, 0} : Cplx{0, 0};
+      worst = std::max(worst, std::abs(dot - want));
+    }
+  }
+  return worst;
+}
+
+class EigenFullSpectrum : public ::testing::TestWithParam<int> {};
+
+TEST_P(EigenFullSpectrum, ReconstructsWithOrthonormalVectors) {
   const int n = GetParam();
   Rng rng(n * 11 + 1);
-  std::vector<Cplx> h(static_cast<std::size_t>(n) * n);
-  for (int r = 0; r < n; ++r) {
-    for (int c = r; c < n; ++c) {
-      if (r == c) {
-        h[static_cast<std::size_t>(r) * n + c] = {rng.uniform(-1, 1), 0.0};
-      } else {
-        const Cplx v{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        h[static_cast<std::size_t>(r) * n + c] = v;
-        h[static_cast<std::size_t>(c) * n + r] = std::conj(v);
-      }
-    }
-  }
-  const auto res = jacobiEigenHermitian(h, n);
+  const CplxMatrix h = randomHermitian(n, rng);
+  const auto res = leadingEigenpairsHermitian(h, n, n);
   ASSERT_EQ(res.eigenvalues.size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(res.eigenvectors.size(), static_cast<std::size_t>(n));
+  for (int j = 1; j < n; ++j) {
+    EXPECT_GE(res.eigenvalues[j - 1], res.eigenvalues[j]);
+  }
+  // H = sum_k lambda_k v_k v_k^H
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
       Cplx acc{0, 0};
       for (int k = 0; k < n; ++k) {
-        acc += res.eigenvalues[static_cast<std::size_t>(k)] *
-               res.eigenvectors[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(r)] *
-               std::conj(res.eigenvectors[static_cast<std::size_t>(k)]
-                                         [static_cast<std::size_t>(c)]);
+        acc += res.eigenvalues[k] * res.eigenvectors[k][r] *
+               std::conj(res.eigenvectors[k][c]);
       }
       EXPECT_NEAR(std::abs(acc - h[static_cast<std::size_t>(r) * n + c]), 0.0,
-                  1e-8);
+                  1e-12 * n);
     }
   }
-  // Complex orthonormality.
-  for (int i = 0; i < n; ++i) {
-    for (int j = i; j < n; ++j) {
-      Cplx dot{0, 0};
-      for (int k = 0; k < n; ++k) {
-        dot += std::conj(res.eigenvectors[static_cast<std::size_t>(i)]
-                                         [static_cast<std::size_t>(k)]) *
-               res.eigenvectors[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(k)];
-      }
-      EXPECT_NEAR(std::abs(dot - (i == j ? Cplx{1, 0} : Cplx{0, 0})), 0.0,
-                  1e-8);
-    }
-  }
+  EXPECT_LT(orthonormalityError(res), 1e-13 * n);
+  EXPECT_LT(maxEigenResidual(h, n, res), 1e-13 * n);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, EigenReconstruction,
-                         ::testing::Values(2, 3, 5, 8, 16));
+INSTANTIATE_TEST_SUITE_P(Sizes, EigenFullSpectrum,
+                         ::testing::Values(1, 2, 3, 5, 8, 16, 40));
 
-TEST(Eigen, SubspaceTopKMatchesJacobiOnDecayingSpectrum) {
+TEST(Eigen, TopKOfDecayingPsdSpectrum) {
   // PSD matrix with a geometrically decaying spectrum, the shape of the
-  // TCC operator that the truncated solver exists for.
-  const int n = 40;
-  const int k = 6;
+  // TCC operator the solver exists for.
+  const int n = 60;
+  const int k = 10;
   Rng rng(47);
-  std::vector<Cplx> h(static_cast<std::size_t>(n) * n, Cplx{0, 0});
-  double weight = 1.0;
-  for (int term = 0; term < n; ++term, weight *= 0.7) {
-    std::vector<Cplx> g(static_cast<std::size_t>(n));
-    for (auto& v : g) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < n; ++c) {
-        h[static_cast<std::size_t>(r) * n + c] +=
-            weight * g[static_cast<std::size_t>(r)] *
-            std::conj(g[static_cast<std::size_t>(c)]);
-      }
-    }
-  }
-  for (int r = 0; r < n; ++r) {
-    for (int c = r; c < n; ++c) {
-      const Cplx sym = 0.5 * (h[static_cast<std::size_t>(r) * n + c] +
-                              std::conj(h[static_cast<std::size_t>(c) * n + r]));
-      h[static_cast<std::size_t>(r) * n + c] = sym;
-      h[static_cast<std::size_t>(c) * n + r] = std::conj(sym);
-    }
-  }
-
-  const auto full = jacobiEigenHermitian(h, n);
-  const auto top = topEigenpairsHermitian(h, n, k);
+  std::vector<double> lambda(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) lambda[j] = std::pow(0.7, j);
+  const CplxMatrix h = withSpectrum(lambda, randomUnitary(n, rng));
+  const auto top = leadingEigenpairsHermitian(h, n, k);
   ASSERT_EQ(top.eigenvalues.size(), static_cast<std::size_t>(k));
-  const double scale = std::max(1.0, std::fabs(full.eigenvalues.front()));
   for (int j = 0; j < k; ++j) {
-    EXPECT_NEAR(top.eigenvalues[static_cast<std::size_t>(j)],
-                full.eigenvalues[static_cast<std::size_t>(j)], 1e-8 * scale);
-    // Residual ||H v - lambda v|| certifies the eigenvector without having
-    // to pair it against the dense solver's (phase-ambiguous) vectors.
-    double residual = 0.0;
+    EXPECT_NEAR(top.eigenvalues[j], lambda[j], 1e-13);
+  }
+  EXPECT_LT(maxEigenResidual(h, n, top), 1e-13);
+  EXPECT_LT(orthonormalityError(top), 1e-13);
+}
+
+/// Eigenvalues 4, 2.5, 1.5, 0.75, 0.5, 0.2 repeated 2, 3, 2, 3, 2, 3 times
+/// (n = 15) on the eigenvectors `q`, drawn at random.
+struct PlantedMultiplicities {
+  std::vector<int> multiplicity = {2, 3, 2, 3, 2, 3};
+  std::vector<double> lambda;
+  std::vector<std::vector<Cplx>> q;
+  CplxMatrix h;
+  int n = 0;
+};
+
+PlantedMultiplicities plantedMultiplicities(Rng& rng) {
+  const std::vector<double> distinct = {4.0, 2.5, 1.5, 0.75, 0.5, 0.2};
+  PlantedMultiplicities p;
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    p.lambda.insert(p.lambda.end(),
+                    static_cast<std::size_t>(p.multiplicity[i]), distinct[i]);
+  }
+  p.n = static_cast<int>(p.lambda.size());
+  p.q = randomUnitary(p.n, rng);
+  p.h = withSpectrum(p.lambda, p.q);
+  return p;
+}
+
+TEST(Eigen, RepeatedEigenvaluesGiveOrthonormalEigenspaces) {
+  // Each eigenvalue repeated twice or three times: inverse iteration must
+  // return an orthonormal basis of every eigenspace, not one vector twice.
+  Rng rng(5);
+  const PlantedMultiplicities planted = plantedMultiplicities(rng);
+  const auto& [multiplicity, lambda, q, h, n] = planted;
+  const int k = 10;  // ends on a cluster boundary (2 + 3 + 2 + 3)
+  const auto res = leadingEigenpairsHermitian(h, n, k);
+  ASSERT_EQ(res.eigenvalues.size(), static_cast<std::size_t>(k));
+  for (int j = 0; j < k; ++j) EXPECT_NEAR(res.eigenvalues[j], lambda[j], 1e-13);
+  EXPECT_LT(orthonormalityError(res), 1e-13);
+  EXPECT_LT(maxEigenResidual(h, n, res), 1e-13);
+  // Each cluster's projector sum_j v_j v_j^H equals the planted one.
+  int begin = 0;
+  for (std::size_t cluster = 0; begin < k; ++cluster) {
+    const int end = begin + multiplicity[cluster];
+    double worst = 0.0;
     for (int r = 0; r < n; ++r) {
-      Cplx acc{0, 0};
       for (int c = 0; c < n; ++c) {
-        acc += h[static_cast<std::size_t>(r) * n + c] *
-               top.eigenvectors[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(c)];
+        Cplx got{0, 0};
+        Cplx want{0, 0};
+        for (int j = begin; j < end; ++j) {
+          got += res.eigenvectors[j][r] * std::conj(res.eigenvectors[j][c]);
+          want += q[j][r] * std::conj(q[j][c]);
+        }
+        worst = std::max(worst, std::abs(got - want));
       }
-      acc -= top.eigenvalues[static_cast<std::size_t>(j)] *
-             top.eigenvectors[static_cast<std::size_t>(j)]
-                             [static_cast<std::size_t>(r)];
-      residual = std::max(residual, std::abs(acc));
     }
-    EXPECT_LT(residual, 1e-6 * scale);
+    EXPECT_LT(worst, 1e-12) << "cluster " << cluster;
+    begin = end;
   }
-  // Orthonormality of the returned block.
-  for (int i = 0; i < k; ++i) {
-    for (int j = i; j < k; ++j) {
-      Cplx dot{0, 0};
-      for (int r = 0; r < n; ++r) {
-        dot += std::conj(top.eigenvectors[static_cast<std::size_t>(i)]
-                                         [static_cast<std::size_t>(r)]) *
-               top.eigenvectors[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(r)];
+}
+
+TEST(Eigen, ResultNeverEndsInsideAnEigenspace) {
+  Rng rng(5);
+  const PlantedMultiplicities planted = plantedMultiplicities(rng);
+  for (const auto& [asked, returned] :
+       {std::pair{1, 2}, std::pair{2, 2}, std::pair{3, 5}, std::pair{6, 7},
+        std::pair{15, 15}}) {
+    const auto res = leadingEigenpairsHermitian(planted.h, planted.n, asked);
+    EXPECT_EQ(res.eigenvalues.size(), static_cast<std::size_t>(returned))
+        << "asked for " << asked;
+    EXPECT_EQ(res.eigenvectors.size(), res.eigenvalues.size());
+  }
+}
+
+TEST(Eigen, CanonicalBasisDependsOnlyOnTheEigenspace) {
+  // Any unitary rotation of an eigenspace's basis canonicalizes back to the
+  // solver's vectors, and the anchor sample sits on the first vector only.
+  Rng rng(31);
+  const PlantedMultiplicities planted = plantedMultiplicities(rng);
+  const int anchor = 6;
+  const auto res =
+      leadingEigenpairsHermitian(planted.h, planted.n, planted.n, anchor);
+  int begin = 0;
+  for (const int d : planted.multiplicity) {
+    const auto u = randomUnitary(d, rng);
+    std::vector<std::vector<Cplx>> rotated(static_cast<std::size_t>(d));
+    for (int j = 0; j < d; ++j) {
+      rotated[j].assign(static_cast<std::size_t>(planted.n), Cplx{0, 0});
+      for (int m = 0; m < d; ++m) {
+        for (int i = 0; i < planted.n; ++i) {
+          rotated[j][i] += u[j][m] * res.eigenvectors[begin + m][i];
+        }
       }
-      EXPECT_NEAR(std::abs(dot - (i == j ? Cplx{1, 0} : Cplx{0, 0})), 0.0,
-                  1e-8);
     }
-  }
-  // Fixed seeding plus the phase convention make reruns bit-identical.
-  const auto again = topEigenpairsHermitian(h, n, k);
-  EXPECT_EQ(top.eigenvalues, again.eigenvalues);
-  EXPECT_EQ(top.eigenvectors, again.eigenvectors);
-}
-
-TEST(Eigen, SubspaceRejectsBadArguments) {
-  std::vector<Cplx> h = {{2, 0}, {0, 0}, {0, 0}, {1, 0}};
-  EXPECT_THROW(topEigenpairsHermitian(h, 2, 0), InvalidArgument);
-  EXPECT_THROW(topEigenpairsHermitian(h, 2, 3), InvalidArgument);
-}
-
-TEST(Eigen, HermitianRejectsNonHermitian) {
-  std::vector<Cplx> h = {{1, 0}, {1, 1}, {1, 1}, {2, 0}};  // h01 != conj(h10)
-  EXPECT_THROW(jacobiEigenHermitian(h, 2), InvalidArgument);
-}
-
-TEST(Eigen, HermitianPsdHasNonNegativeSpectrum) {
-  // H = B B^H is PSD.
-  const int n = 6;
-  Rng rng(29);
-  std::vector<Cplx> b(static_cast<std::size_t>(n) * n);
-  for (auto& v : b) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-  std::vector<Cplx> h(static_cast<std::size_t>(n) * n, Cplx{0, 0});
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      Cplx acc{0, 0};
-      for (int k = 0; k < n; ++k) {
-        acc += b[static_cast<std::size_t>(r) * n + k] *
-               std::conj(b[static_cast<std::size_t>(c) * n + k]);
+    canonicalEigenbasis(rotated, anchor);
+    for (int j = 0; j < d; ++j) {
+      const auto& v = res.eigenvectors[begin + j];
+      double worst = 0.0;
+      for (int i = 0; i < planted.n; ++i) {
+        worst = std::max(worst, std::abs(rotated[j][i] - v[i]));
       }
-      h[static_cast<std::size_t>(r) * n + c] = acc;
+      EXPECT_LT(worst, 1e-12) << "eigenspace at " << begin << ", vector " << j;
+      if (j == 0) {
+        EXPECT_EQ(v[anchor].imag(), 0.0);
+        EXPECT_GT(v[anchor].real(), 1e-8);
+      } else {
+        EXPECT_LT(std::abs(v[anchor]), 1e-12);
+      }
     }
+    begin += d;
   }
-  // Exact Hermitian symmetrization to cancel rounding asymmetry.
-  for (int r = 0; r < n; ++r) {
-    for (int c = r; c < n; ++c) {
-      const Cplx sym = 0.5 * (h[static_cast<std::size_t>(r) * n + c] +
-                              std::conj(h[static_cast<std::size_t>(c) * n + r]));
-      h[static_cast<std::size_t>(r) * n + c] = sym;
-      h[static_cast<std::size_t>(c) * n + r] = std::conj(sym);
-    }
-  }
-  const auto res = jacobiEigenHermitian(h, n);
-  for (double w : res.eigenvalues) EXPECT_GT(w, -1e-9);
 }
 
-TEST(Eigen, MatrixIdentityFactory) {
-  const Matrix id = Matrix::identity(3);
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_DOUBLE_EQ(id(r, c), r == c ? 1.0 : 0.0);
+TEST(Eigen, RealSymmetricInputGivesRealVectors) {
+  const int n = 24;
+  Rng rng(13);
+  const CplxMatrix h = randomHermitian(n, rng, /*real=*/true);
+  const auto res = leadingEigenpairsHermitian(h, n, 8);
+  for (const auto& v : res.eigenvectors) {
+    for (const Cplx& z : v) EXPECT_EQ(z.imag(), 0.0);
+  }
+  EXPECT_LT(maxEigenResidual(h, n, res), 1e-13 * n);
+}
+
+TEST(Eigen, RerunsAreBitIdentical) {
+  const int n = 33;
+  Rng rng(21);
+  const CplxMatrix h = randomHermitian(n, rng);
+  const auto first = leadingEigenpairsHermitian(h, n, 12, 3);
+  const auto again = leadingEigenpairsHermitian(h, n, 12, 3);
+  EXPECT_EQ(first.eigenvalues, again.eigenvalues);
+  EXPECT_EQ(first.eigenvectors, again.eigenvectors);
+}
+
+TEST(Eigen, CanonicalPhaseRule) {
+  const int n = 12;
+  Rng rng(8);
+  CplxMatrix h = randomHermitian(n, rng);
+  // An anchor with a non-negligible sample is made real and positive.
+  const int anchor = 4;
+  const auto anchored = leadingEigenpairsHermitian(h, n, 5, anchor);
+  for (const auto& v : anchored.eigenvectors) {
+    ASSERT_GT(std::abs(v[anchor]), 1e-8);
+    EXPECT_EQ(v[anchor].imag(), 0.0);
+    EXPECT_GT(v[anchor].real(), 0.0);
+  }
+  // Decouple sample 0 with a small eigenvalue: the top vectors vanish there,
+  // so the first largest-magnitude sample (ties within 1e-9 relative) takes
+  // the phase instead; the same rule applies when no anchor is given.
+  for (int c = 1; c < n; ++c) entry(h, n, 0, c) = entry(h, n, c, 0) = {0, 0};
+  entry(h, n, 0, 0) = {-10.0, 0.0};
+  for (const int a : {0, -1}) {
+    const auto res = leadingEigenpairsHermitian(h, n, 5, a);
+    for (const auto& v : res.eigenvectors) {
+      EXPECT_LE(std::abs(v[0]), 1e-8);
+      double best = 0.0;
+      for (const Cplx& z : v) best = std::max(best, std::norm(z));
+      std::size_t pivot = 0;
+      while (std::norm(v[pivot]) < best * (1.0 - 1e-9)) ++pivot;
+      EXPECT_EQ(v[pivot].imag(), 0.0);
+      EXPECT_GT(v[pivot].real(), 0.0);
     }
   }
+  // Ties go to the lowest index: [[1, i], [-i, 1]] has the top eigenvector
+  // (1, -i) / sqrt(2), two samples of equal magnitude.
+  const CplxMatrix tie = {{1, 0}, {0, 1}, {0, -1}, {1, 0}};
+  const auto tied = leadingEigenpairsHermitian(tie, 2, 1);
+  EXPECT_NEAR(tied.eigenvalues[0], 2.0, 1e-14);
+  EXPECT_EQ(tied.eigenvectors[0][0].imag(), 0.0);
+  EXPECT_NEAR(tied.eigenvectors[0][0].real(), std::sqrt(0.5), 1e-14);
+  EXPECT_NEAR(tied.eigenvectors[0][1].real(), 0.0, 1e-14);
+  EXPECT_NEAR(tied.eigenvectors[0][1].imag(), -std::sqrt(0.5), 1e-14);
+}
+
+TEST(Eigen, RejectsBadInput) {
+  const CplxMatrix nonHermitian = {{1, 0}, {1, 1}, {1, 1}, {2, 0}};
+  EXPECT_THROW(leadingEigenpairsHermitian(nonHermitian, 2, 1), InvalidArgument);
+  const CplxMatrix complexDiagonal = {{1, 0.5}, {0, 0}, {0, 0}, {2, 0}};
+  EXPECT_THROW(leadingEigenpairsHermitian(complexDiagonal, 2, 1),
+               InvalidArgument);
+  const CplxMatrix h = {{2, 0}, {0, 0}, {0, 0}, {1, 0}};
+  EXPECT_THROW(leadingEigenpairsHermitian(h, 2, 0), InvalidArgument);
+  EXPECT_THROW(leadingEigenpairsHermitian(h, 2, 3), InvalidArgument);
+  EXPECT_THROW(leadingEigenpairsHermitian(h, 3, 1), InvalidArgument);
+  EXPECT_THROW(leadingEigenpairsHermitian(h, 2, 1, 2), InvalidArgument);
+}
+
+TEST(Eigen, DefaultTccTopEigenvaluesMatchGoldenFixture) {
+  // Top 25 eigenvalues of the default 1024 nm TCC (n = 161), recorded from
+  // an independent cyclic Jacobi solve of its real 322 x 322 embedding.
+  const std::vector<double> focus0 = {
+      49.221919153959831,  13.434533090744548,  13.434533090744484,
+      0.84620015554686889, 0.83200390273694913, 0.83200390273694258,
+      0.76498332918495604, 0.4162012341036278,  0.34196002470562631,
+      0.24809802668013581, 0.24809802668013015, 0.21211068072908038,
+      0.21056210333490363, 0.16399853748617144, 0.16271887946129465,
+      0.15905862861378339, 0.1554098799977473,  0.15540987999774444,
+      0.13551856145840635, 0.13551856145840541, 0.10775058762810183,
+      0.10675365917673645, 0.088435714942054724, 0.088435714942054641,
+      0.080157717544997675};
+  const std::vector<double> focus25 = {
+      47.286621260607618,  13.366036099348181,  13.366036099347454,
+      1.4958874310419261,  1.4102675379160337,  1.0842344377336792,
+      1.0842344377336637,  0.49425034725884326, 0.41495929362260248,
+      0.27372698632589493, 0.27372698632589404, 0.20634986866481717,
+      0.20634986866481667, 0.20306433956903794, 0.18932999110479862,
+      0.18609628520722007, 0.1372629253225762,  0.13600411623725134,
+      0.12963081596023818, 0.12963081596023787, 0.10278072689792569,
+      0.098782434831527474, 0.097628196131608613, 0.097628196131608072,
+      0.074645974675351029};
+  const OpticsConfig optics;
+  const auto lattice = pupilLattice(optics);
+  const int n = static_cast<int>(lattice.size());
+  ASSERT_EQ(n, 161);
+  for (const auto& [focus, golden] :
+       {std::pair{0.0, focus0}, std::pair{25.0, focus25}}) {
+    const auto tcc = buildTcc(optics, focus, lattice);
+    const auto res = leadingEigenpairsHermitian(tcc, n, 25);
+    for (std::size_t j = 0; j < golden.size(); ++j) {
+      EXPECT_NEAR(res.eigenvalues[j], golden[j], 1e-10 * golden[j])
+          << "focus " << focus << " eigenvalue " << j;
+    }
+    EXPECT_LT(maxEigenResidual(tcc, n, res), 1e-12);
+  }
+}
+
+TEST(Eigen, ClusterSafeCountWidensToClusterEnd) {
+  const std::vector<double> w = {5.0, 3.0, 3.0, 2.0, 1.0 + 2e-12, 1.0 + 1e-12,
+                                 1.0};
+  EXPECT_EQ(clusterSafeCount(w, 0), 0);
+  EXPECT_EQ(clusterSafeCount(w, 1), 1);
+  EXPECT_EQ(clusterSafeCount(w, 2), 3);
+  EXPECT_EQ(clusterSafeCount(w, 3), 3);
+  EXPECT_EQ(clusterSafeCount(w, 4), 4);
+  EXPECT_EQ(clusterSafeCount(w, 5), 7);
+  EXPECT_EQ(clusterSafeCount(w, 9), 7);
+  const std::vector<double> split = {5.0, 1.0 + 1e-6, 1.0};  // gap > 5e-8
+  EXPECT_EQ(clusterSafeCount(split, 2), 2);
 }
 
 }  // namespace

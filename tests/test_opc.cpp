@@ -15,6 +15,7 @@
 #include "opc/objective.hpp"
 #include "opc/optimizer.hpp"
 #include "suite/testcases.hpp"
+#include "support/log.hpp"
 #include "support/rng.hpp"
 
 namespace mosaic {
@@ -321,6 +322,29 @@ TEST(Objective, BetaZeroSkipsPvb) {
   const auto eval = obj.evaluate(smoothMask(target), true);
   EXPECT_DOUBLE_EQ(eval.pvbValue, 0.0);
   EXPECT_FALSE(eval.gradMask.empty());
+}
+
+TEST(Objective, InLoopWideningIsLoggedOnceWhenBound) {
+  // Six kernels split the lambda_5 == lambda_6 pair at focus 25, the
+  // defocus corner: the objective widens to seven when it is built, says
+  // so once, and evaluates silently after that.
+  LithoSimulator& sim = coarseSim();
+  const BitGrid target = coarseTarget();
+  IltConfig cfg;
+  cfg.inLoopKernels = 6;
+  const LogLevel level = logLevel();
+  setLogLevel(LogLevel::kInfo);
+  ::testing::internal::CaptureStderr();
+  const IltObjective obj(sim, target, cfg);
+  (void)obj.evaluate(smoothMask(target), true);
+  (void)obj.evaluate(smoothMask(target), true);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  setLogLevel(level);
+  const auto first = log.find("splits a degenerate");
+  ASSERT_NE(first, std::string::npos) << log;
+  EXPECT_EQ(log.find("splits a degenerate", first + 1), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("at focus 25 nm; using 7"), std::string::npos) << log;
 }
 
 TEST(Objective, TargetShapeMismatchThrows) {
