@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "machine_stamp.hpp"
 #include "serve/service.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -189,9 +190,10 @@ int main(int argc, char** argv) {
     FILE* json = std::fopen(jsonPath.c_str(), "w");
     MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
     std::fprintf(json,
-                 "{\n  \"bench\": \"bm_serve\",\n  \"pixel_nm\": %d,\n"
+                 "{\n  \"bench\": \"bm_serve\",\n  \"machine\": %s,\n"
+                 "  \"pixel_nm\": %d,\n"
                  "  \"iterations\": %d,\n  \"configs\": [",
-                 pixel, iters);
+                 bench::machineStampJson().c_str(), pixel, iters);
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const RunStats& r = runs[i];
       std::fprintf(json,

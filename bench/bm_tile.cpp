@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "machine_stamp.hpp"
 #include "suite/testcases.hpp"
 #include "support/cli.hpp"
 #include "support/log.hpp"
@@ -77,13 +78,14 @@ bool runCachePhase(const mosaic::Layout& chip, mosaic::ChipConfig cfg,
   MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
   std::fprintf(
       json,
-      "{\n  \"bench\": \"bm_tile_cache\",\n  \"tiles\": %d,\n"
+      "{\n  \"bench\": \"bm_tile_cache\",\n  \"machine\": %s,\n"
+      "  \"tiles\": %d,\n"
       "  \"cold_seconds\": %.4f,\n  \"warm_seconds\": %.4f,\n"
       "  \"warm_speedup\": %.3f,\n  \"hit_rate\": %.4f,\n"
       "  \"exact_hits\": %llu,\n  \"misses_cold\": %llu,\n"
       "  \"bit_identical\": %s\n}\n",
-      cold.partition.tileCount(), cold.wallSeconds, warmRun.wallSeconds,
-      speedup, hitRate,
+      bench::machineStampJson().c_str(), cold.partition.tileCount(),
+      cold.wallSeconds, warmRun.wallSeconds, speedup, hitRate,
       static_cast<unsigned long long>(warmRun.cacheStats.exactHits),
       static_cast<unsigned long long>(cold.cacheStats.misses),
       identical ? "true" : "false");
@@ -205,10 +207,12 @@ int main(int argc, char** argv) {
     FILE* json = std::fopen(jsonPath.c_str(), "w");
     MOSAIC_CHECK(json != nullptr, "cannot write " << jsonPath);
     std::fprintf(json,
-                 "{\n  \"bench\": \"bm_tile\",\n  \"chip_nm\": %d,\n"
+                 "{\n  \"bench\": \"bm_tile\",\n  \"machine\": %s,\n"
+                 "  \"chip_nm\": %d,\n"
                  "  \"tiles\": %d,\n  \"window_nm\": %d,\n"
                  "  \"iterations\": %d,\n  \"runs\": [\n",
-                 chip.sizeNm, tiles, warm.partition.windowNm, iterations);
+                 bench::machineStampJson().c_str(), chip.sizeNm, tiles,
+                 warm.partition.windowNm, iterations);
     for (std::size_t i = 0; i < runs.size(); ++i) {
       std::fprintf(json,
                    "    {\"workers\": %d, \"seconds\": %.4f, "

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <map>
 #include <string>
 
 #include "eval/pvband.hpp"
@@ -45,14 +46,17 @@ int main(int argc, char** argv) {
     TextTable table;
     table.setHeader({"corner", "focus(nm)", "dose", "printed px",
                      "vs nominal +", "vs nominal -"});
-    const ComplexGrid spectrum = sim.maskSpectrum(mask);
+    // The nominal corner is one of the evaluation corners, so its image is
+    // the focus-0 one; every corner prints dose * its focus's image.
+    const std::map<double, RealGrid> images =
+        sim.aerialByFocus(sim.maskSpectrum(mask), corners);
     const BitGrid nominal =
-        sim.printBinary(sim.aerialFromSpectrum(spectrum, nominalCorner()));
+        sim.printBinary(images.at(nominalCorner().focusNm));
     const int n = sim.gridSize();
     int idx = 0;
     for (const auto& corner : corners) {
       const BitGrid print =
-          sim.printBinary(sim.aerialFromSpectrum(spectrum, corner));
+          sim.printBinary(images.at(corner.focusNm), corner.dose);
       table.addRow({"(" + std::string(1, static_cast<char>('a' + idx)) + ")",
                     TextTable::num(corner.focusNm, 0),
                     TextTable::num(corner.dose, 2),
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
       ++idx;
     }
 
-    const PvBandResult pvb = computePvBand(sim, mask, corners);
+    const PvBandResult pvb = computePvBand(sim, images, corners);
     writePgm(outDir + "/fig4_band.pgm",
              {toReal(pvb.band).data(), static_cast<std::size_t>(n) * n}, n, n);
 

@@ -1,5 +1,8 @@
 #include "eval/evaluator.hpp"
 
+#include <map>
+#include <vector>
+
 #include "geometry/edges.hpp"
 #include "support/error.hpp"
 #include "support/telemetry/trace.hpp"
@@ -17,15 +20,18 @@ CaseEvaluation evaluateMask(const LithoSimulator& sim, const RealGrid& mask,
   CaseEvaluation eval;
   eval.runtimeSec = runtimeSec;
 
-  // One forward mask FFT for the whole evaluation: the nominal print and
-  // every PV-band corner below share this spectrum. (Previously print()
-  // and computePvBand() each recomputed it; the litho.mask_spectrum
-  // counter pins the single-FFT contract in tests/test_backend.cpp.)
-  const ComplexGrid spectrum = sim.maskSpectrum(mask);
+  // One forward mask FFT and one SOCS sum per distinct focus for the whole
+  // evaluation: the nominal print reuses the focus-0 image of the PV band
+  // (the litho.mask_spectrum and litho.aerial_sum counters pin both in
+  // tests/test_backend.cpp).
+  std::vector<ProcessCorner> imaged = config.corners;
+  imaged.push_back(nominalCorner());
+  const std::map<double, RealGrid> aerial =
+      sim.aerialByFocus(sim.maskSpectrum(mask), imaged);
 
   // Nominal print: EPE + shape.
   const BitGrid nominalPrint =
-      sim.printBinary(sim.aerialFromSpectrum(spectrum, nominalCorner()));
+      sim.printBinary(aerial.at(nominalCorner().focusNm));
   const auto samples = extractSamples(target, config.sampleSpacingNm / pixelNm);
   const EpeResult epe = measureEpe(nominalPrint, target, samples, pixelNm,
                                    config.epeThresholdNm);
@@ -38,8 +44,8 @@ CaseEvaluation evaluateMask(const LithoSimulator& sim, const RealGrid& mask,
   eval.holes = shape.holes;
   eval.missingFeatures = shape.missingFeatures;
 
-  // PV band across the full corner set, reusing the hoisted spectrum.
-  const PvBandResult pvb = computePvBand(sim, spectrum, config.corners);
+  // PV band across the full corner set, reusing the per-focus images.
+  const PvBandResult pvb = computePvBand(sim, aerial, config.corners);
   eval.pvbandAreaNm2 = pvb.bandAreaNm2;
 
   eval.score = contestScore(runtimeSec, eval.pvbandAreaNm2,

@@ -1,5 +1,8 @@
 #include "eval/process_window.hpp"
 
+#include <map>
+#include <vector>
+
 #include "eval/epe.hpp"
 #include "eval/shape.hpp"
 #include "geometry/edges.hpp"
@@ -19,14 +22,12 @@ ProcessWindowResult measureProcessWindow(const LithoSimulator& sim,
   const int pixelNm = sim.optics().pixelNm;
   const auto samples =
       extractSamples(target, config.sampleSpacingNm / pixelNm);
-  const ComplexGrid spectrum = sim.maskSpectrum(mask);
 
-  ProcessWindowResult result;
-  result.focusSteps = config.focusSteps;
-  result.doseSteps = config.doseSteps;
-  result.matrix.reserve(static_cast<std::size_t>(config.focusSteps) *
-                        config.doseSteps);
-
+  // Row-major focus x dose grid. Each focus row shares one dose-1 image
+  // (one SOCS sum per focus); every dose thresholds dose * image.
+  std::vector<ProcessCorner> corners;
+  corners.reserve(static_cast<std::size_t>(config.focusSteps) *
+                  config.doseSteps);
   for (int fi = 0; fi < config.focusSteps; ++fi) {
     const double focus =
         config.maxFocusNm * fi / (config.focusSteps - 1);
@@ -34,17 +35,32 @@ ProcessWindowResult measureProcessWindow(const LithoSimulator& sim,
       const double dose = 1.0 - config.doseSpan +
                           2.0 * config.doseSpan * di /
                               (config.doseSteps - 1);
-      const BitGrid printed = sim.printBinary(
-          sim.aerialFromSpectrum(spectrum, ProcessCorner{focus, dose}));
-      FocusExposurePoint point;
-      point.focusNm = focus;
-      point.dose = dose;
-      point.epeViolations = measureEpe(printed, target, samples, pixelNm,
-                                       config.epeToleranceNm)
-                                .violations;
-      point.shapeViolations = analyzeShape(printed, target).violations();
-      point.inSpec = point.epeViolations == 0 && point.shapeViolations == 0;
-      result.matrix.push_back(point);
+      corners.push_back({focus, dose});
+    }
+  }
+  std::map<double, RealGrid> aerial =
+      sim.aerialByFocus(sim.maskSpectrum(mask), corners);
+
+  ProcessWindowResult result;
+  result.focusSteps = config.focusSteps;
+  result.doseSteps = config.doseSteps;
+  result.matrix.reserve(corners.size());
+  for (const ProcessCorner& corner : corners) {
+    const BitGrid printed =
+        sim.printBinary(aerial.at(corner.focusNm), corner.dose);
+    FocusExposurePoint point;
+    point.focusNm = corner.focusNm;
+    point.dose = corner.dose;
+    point.epeViolations = measureEpe(printed, target, samples, pixelNm,
+                                     config.epeToleranceNm)
+                              .violations;
+    point.shapeViolations = analyzeShape(printed, target).violations();
+    point.inSpec = point.epeViolations == 0 && point.shapeViolations == 0;
+    result.matrix.push_back(point);
+    // The last dose of a focus row releases that row's image.
+    if (result.matrix.size() % static_cast<std::size_t>(config.doseSteps) ==
+        0) {
+      aerial.erase(corner.focusNm);
     }
   }
 

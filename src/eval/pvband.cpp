@@ -13,13 +13,19 @@ PvBandResult computePvBand(const LithoSimulator& sim, const RealGrid& mask,
 PvBandResult computePvBand(const LithoSimulator& sim,
                            const ComplexGrid& spectrum,
                            const std::vector<ProcessCorner>& corners) {
+  return computePvBand(sim, sim.aerialByFocus(spectrum, corners), corners);
+}
+
+PvBandResult computePvBand(const LithoSimulator& sim,
+                           const std::map<double, RealGrid>& aerialByFocus,
+                           const std::vector<ProcessCorner>& corners) {
   MOSAIC_CHECK(!corners.empty(), "PV band needs at least one corner");
   MOSAIC_SPAN("eval.pvband");
   PvBandResult result;
   bool first = true;
   for (const auto& corner : corners) {
     const BitGrid print =
-        sim.printBinary(sim.aerialFromSpectrum(spectrum, corner));
+        sim.printBinary(aerialByFocus.at(corner.focusNm), corner.dose);
     if (first) {
       result.outer = print;
       result.inner = print;

@@ -4,6 +4,7 @@
 /// and innermost printed contour over all process corners, computed with
 /// boolean raster operations.
 
+#include <map>
 #include <vector>
 
 #include "litho/simulator.hpp"
@@ -20,15 +21,21 @@ struct PvBandResult {
 };
 
 /// Print the mask at every corner and assemble the PV band. The mask
-/// spectrum is computed once and shared across corners.
+/// spectrum is computed once and the aerial image once per distinct focus.
 PvBandResult computePvBand(const LithoSimulator& sim, const RealGrid& mask,
                            const std::vector<ProcessCorner>& corners);
 
-/// Same, starting from a precomputed mask spectrum — callers that already
-/// paid the forward FFT (eval/evaluator shares one spectrum between the
-/// nominal print and the PV band) must not pay it again per corner set.
+/// Same, starting from a precomputed mask spectrum.
 PvBandResult computePvBand(const LithoSimulator& sim,
                            const ComplexGrid& spectrum,
+                           const std::vector<ProcessCorner>& corners);
+
+/// Same, from the dose-1 per-focus images of LithoSimulator::aerialByFocus
+/// (which must hold every corner's focus) — eval/evaluator shares them
+/// between the nominal print and the PV band. Each corner prints
+/// dose * image.
+PvBandResult computePvBand(const LithoSimulator& sim,
+                           const std::map<double, RealGrid>& aerialByFocus,
                            const std::vector<ProcessCorner>& corners);
 
 }  // namespace mosaic

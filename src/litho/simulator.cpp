@@ -8,6 +8,7 @@
 #include "support/failpoint.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry/trace.hpp"
 #include "support/timer.hpp"
 
@@ -114,6 +115,11 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
   MOSAIC_CHECK(spectrum.rows() == n && spectrum.cols() == n,
                "spectrum grid mismatch");
   MOSAIC_SPAN("litho.aerial");
+  // Counts SOCS sums so tests can pin "one sum per distinct focus per
+  // evaluation" next to the one-spectrum contract above.
+  static telemetry::Counter& sums =
+      telemetry::metrics().counter("litho.aerial_sum");
+  sums.add(1);
   const KernelSet& set = kernels(corner.focusNm);
   const int count = set.truncatedCount(maxKernels);
   const Fft2d& fft = fft2dFor(n, n);
@@ -140,6 +146,20 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
   return intensity;
 }
 
+std::map<double, RealGrid> LithoSimulator::aerialByFocus(
+    const ComplexGrid& spectrum, const std::vector<ProcessCorner>& corners,
+    int maxKernels) const {
+  std::map<double, RealGrid> images;
+  for (const auto& corner : corners) images[corner.focusNm];
+  std::vector<std::pair<const double, RealGrid>*> slots;
+  for (auto& slot : images) slots.push_back(&slot);
+  parallelFor(0, slots.size(), [&](std::size_t i) {
+    slots[i]->second = aerialFromSpectrum(
+        spectrum, ProcessCorner{slots[i]->first, 1.0}, maxKernels);
+  });
+  return images;
+}
+
 RealGrid LithoSimulator::printContinuous(const RealGrid& aerialImage) const {
   RealGrid out(aerialImage.rows(), aerialImage.cols());
   for (std::size_t i = 0; i < aerialImage.size(); ++i) {
@@ -148,10 +168,11 @@ RealGrid LithoSimulator::printContinuous(const RealGrid& aerialImage) const {
   return out;
 }
 
-BitGrid LithoSimulator::printBinary(const RealGrid& aerialImage) const {
+BitGrid LithoSimulator::printBinary(const RealGrid& aerialImage,
+                                    double dose) const {
   BitGrid out(aerialImage.rows(), aerialImage.cols());
   for (std::size_t i = 0; i < aerialImage.size(); ++i) {
-    out.data()[i] = resist_.prints(aerialImage.data()[i]) ? 1u : 0u;
+    out.data()[i] = resist_.prints(dose * aerialImage.data()[i]) ? 1u : 0u;
   }
   return out;
 }

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "litho/kernels.hpp"
 #include "litho/optics.hpp"
@@ -20,7 +21,8 @@ namespace mosaic {
 ///
 /// The expensive part of a simulation is the per-kernel inverse FFT; when
 /// evaluating several corners of the same mask, compute the mask spectrum
-/// once via maskSpectrum() and reuse it.
+/// once via maskSpectrum() and the images once per focus via
+/// aerialByFocus().
 ///
 /// Thread-safety contract: all const member functions are safe to call
 /// concurrently on one shared instance. The lazy per-focus kernel cache
@@ -93,11 +95,25 @@ class LithoSimulator {
                                             const ProcessCorner& corner,
                                             int maxKernels = 0) const;
 
+  /// Dose-1 aerial images of one mask spectrum for a corner list, keyed
+  /// by focus: one SOCS sum (and resist blur) per *distinct* focus. Corners
+  /// that share a focus differ only by a dose scalar on the same image
+  /// (Eq. 18), so each caller applies corner.dose in its own epilogue —
+  /// printBinary(image, dose), or a fused resist sweep. The sums fan out
+  /// over the work-stealing pool; each image is exactly
+  /// aerialFromSpectrum(spectrum, {focus, 1.0}, maxKernels), so the result
+  /// does not depend on the worker count.
+  [[nodiscard]] std::map<double, RealGrid> aerialByFocus(
+      const ComplexGrid& spectrum, const std::vector<ProcessCorner>& corners,
+      int maxKernels = 0) const;
+
   /// Continuous printed image Z = sig(I) (Eq. 4).
   [[nodiscard]] RealGrid printContinuous(const RealGrid& aerialImage) const;
 
-  /// Binary printed image via the hard threshold (Eq. 3).
-  [[nodiscard]] BitGrid printBinary(const RealGrid& aerialImage) const;
+  /// Binary printed image via the hard threshold (Eq. 3) of dose * I.
+  /// Pass a dose-1 image from aerialByFocus and the corner's dose.
+  [[nodiscard]] BitGrid printBinary(const RealGrid& aerialImage,
+                                    double dose = 1.0) const;
 
   /// Convenience: mask -> binary print at a corner with the full kernel set.
   [[nodiscard]] BitGrid print(const RealGrid& mask,

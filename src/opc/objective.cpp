@@ -14,28 +14,6 @@
 #include "support/telemetry/trace.hpp"
 
 namespace mosaic {
-namespace {
-
-/// Z (and optionally dZ/dI = theta_Z Z (1-Z)) for an aerial image at a
-/// given dose. Pass dZdI = nullptr when only Z is needed -- the nominal
-/// path's term fields fold the derivative in themselves.
-void resistForward(const ResistModel& resist, const RealGrid& aerialRaw,
-                   double dose, RealGrid& z, RealGrid* dZdI = nullptr) {
-  const int rows = aerialRaw.rows();
-  const int cols = aerialRaw.cols();
-  z = RealGrid(rows, cols);
-  if (dZdI != nullptr) *dZdI = RealGrid(rows, cols);
-  for (std::size_t i = 0; i < aerialRaw.size(); ++i) {
-    const double intensity = dose * aerialRaw.data()[i];
-    const double zv = resist.sigmoid(intensity);
-    z.data()[i] = zv;
-    if (dZdI != nullptr) {
-      dZdI->data()[i] = resist.thetaZ * zv * (1.0 - zv);
-    }
-  }
-}
-
-}  // namespace
 
 IltObjective::IltObjective(const LithoSimulator& sim, BitGrid target,
                            IltConfig config)
@@ -67,7 +45,6 @@ IltObjective::IltObjective(const LithoSimulator& sim, BitGrid target,
 }
 
 RealGrid IltObjective::imageDiffGradientField(const RealGrid& zNominal,
-                                              const RealGrid& aerialNominal,
                                               double* valueOut) const {
   // F_id = sum |Z - Zt|^gamma  (Eq. 16; |.| so odd gamma stays a metric).
   // dF/dI = gamma |Z - Zt|^(gamma-1) sign(Z - Zt) * thetaZ Z (1 - Z).
@@ -83,14 +60,12 @@ RealGrid IltObjective::imageDiffGradientField(const RealGrid& zNominal,
     const double dZdI = resist.thetaZ * z * (1.0 - z);
     const double sign = (d >= 0.0) ? 1.0 : -1.0;
     g.data()[i] = gamma * std::pow(ad, gamma - 1.0) * sign * dZdI;
-    (void)aerialNominal;
   }
   *valueOut = value;
   return g;
 }
 
 RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
-                                        const RealGrid& aerialNominal,
                                         double* valueOut) const {
   // Eq. 9-14. For each sample point, Dsum is the squared image difference
   // summed over the EPE window perpendicular to the edge; the sigmoid of
@@ -148,7 +123,6 @@ RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
     const double dZdI = resist.thetaZ * z * (1.0 - z);
     g.data()[i] = weight.data()[i] * 2.0 *
                   (z - targetReal_.data()[i]) * dZdI;
-    (void)aerialNominal;
   }
   *valueOut = value;
   return g;
@@ -205,17 +179,25 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
   Evaluation eval;
   const ComplexGrid maskSpectrum = sim_.maskSpectrum(mask);
 
+  // One SOCS sum per distinct focus (Eq. 18): the nominal corner and every
+  // PV corner at its focus share one dose-1 image, and each corner applies
+  // its dose in the epilogue below.
+  std::vector<ProcessCorner> imaged{nominalCorner()};
+  if (config_.beta > 0.0) {
+    imaged.insert(imaged.end(), config_.pvbCorners.begin(),
+                  config_.pvbCorners.end());
+  }
+  std::map<double, RealGrid> aerial =
+      sim_.aerialByFocus(maskSpectrum, imaged, config_.inLoopKernels);
+
   // ---- nominal corner: design-target term ----
-  const RealGrid aerialNominal = sim_.aerialFromSpectrum(
-      maskSpectrum, nominalCorner(), config_.inLoopKernels);
-  RealGrid zNominal;
-  resistForward(sim_.resist(), aerialNominal, 1.0, zNominal);
+  RealGrid zNominal =
+      sim_.printContinuous(aerial.at(nominalCorner().focusNm));
 
   double targetValue = 0.0;
-  RealGrid gTarget =
-      (config_.targetTerm == TargetTerm::kEpe)
-          ? epeGradientField(zNominal, aerialNominal, &targetValue)
-          : imageDiffGradientField(zNominal, aerialNominal, &targetValue);
+  RealGrid gTarget = (config_.targetTerm == TargetTerm::kEpe)
+                         ? epeGradientField(zNominal, &targetValue)
+                         : imageDiffGradientField(zNominal, &targetValue);
   eval.targetValue = targetValue;
   // zNominal is no longer read below; hand the buffer to the evaluation
   // instead of deep-copying it.
@@ -240,24 +222,19 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
 
   double pvbValue = 0.0;
   if (config_.beta > 0.0) {
-    // Process corners are independent until the merge, so they fan out
-    // over the work-stealing pool — inside a tile task this is nested
-    // parallelism that idle workers steal; in a single-clip run it is the
-    // top-level fan-out. Each corner accumulates into its own partial sum
-    // and field, and the merge below runs serially in corner order, so
-    // the result is identical at every worker count.
+    // The corner epilogues only read the shared images, so they fan out
+    // over the work-stealing pool. Each corner accumulates into its own
+    // partial sum and field, and the merge below runs serially in corner
+    // order, so the result is identical at every worker count.
     const std::size_t cornerCount = config_.pvbCorners.size();
     std::vector<double> cornerValue(cornerCount, 0.0);
     std::vector<RealGrid> cornerField(cornerCount);
     parallelFor(0, cornerCount, [&](std::size_t ci) {
       const auto& corner = config_.pvbCorners[ci];
-      const RealGrid aerialRaw = sim_.aerialFromSpectrum(
-          maskSpectrum, ProcessCorner{corner.focusNm, 1.0},
-          config_.inLoopKernels);
+      const RealGrid& aerialRaw = aerial.at(corner.focusNm);
       // Fused corner epilogue: dose scaling, resist sigmoid, dZ/dI, the
       // PVB residual and the dF/dI field all come out of one sweep over
-      // the aerial image instead of the former resistForward + residual
-      // passes (and the Z/dZdI corner grids are never materialized).
+      // the shared image (the Z/dZdI corner grids are never materialized).
       const ResistModel& resist = sim_.resist();
       RealGrid g;
       if (needGradient) g = RealGrid(n, n);
@@ -285,6 +262,9 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
       }
     }
   }
+  // Every epilogue has consumed its image; release them before the
+  // gradient chains allocate their own scratch.
+  aerial.clear();
   eval.pvbValue = pvbValue;
 
   if (needGradient) {

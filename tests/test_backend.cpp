@@ -12,13 +12,18 @@
 #include <vector>
 
 #include "eval/evaluator.hpp"
+#include "eval/process_window.hpp"
 #include "eval/pvband.hpp"
+#include "geometry/bitmap_ops.hpp"
+#include "geometry/edges.hpp"
 #include "litho/simulator.hpp"
 #include "math/backend.hpp"
 #include "math/convolution.hpp"
 #include "math/fft.hpp"
 #include "math/grid.hpp"
 #include "math/scratch.hpp"
+#include "opc/mosaic.hpp"
+#include "opc/objective.hpp"
 #include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
@@ -304,6 +309,134 @@ TEST(LithoBackendEquivalence, OneMaskSpectrumPerEvaluation) {
   const std::uint64_t before = spectra.value();
   (void)evaluateMask(sim, mask, target, 0.0);
   EXPECT_EQ(spectra.value() - before, 1u);
+}
+
+// Work-count gate: every consumer pays one SOCS sum per distinct focus
+// (Eq. 18 corners at one focus share the dose-1 image), never one per
+// corner. The default in-loop and evaluation corner sets span 2 foci.
+TEST(LithoBackendEquivalence, OneAerialSumPerDistinctFocus) {
+  LithoSimulator sim(smallOptics());
+  const RealGrid mask = testMask(sim.gridSize());
+  const BitGrid target = thresholdGrid(mask, 0.5);
+  telemetry::Counter& sums = telemetry::metrics().counter("litho.aerial_sum");
+  telemetry::Counter& spectra =
+      telemetry::metrics().counter("litho.mask_spectrum");
+  const auto expectWork = [&](const char* what, std::uint64_t wantSums,
+                              const auto& run) {
+    const std::uint64_t sums0 = sums.value();
+    const std::uint64_t spectra0 = spectra.value();
+    run();
+    EXPECT_EQ(sums.value() - sums0, wantSums) << what;
+    EXPECT_EQ(spectra.value() - spectra0, 1u) << what;
+  };
+
+  const int pixelNm = sim.optics().pixelNm;
+  for (const OpcMethod method :
+       {OpcMethod::kMosaicFast, OpcMethod::kMosaicExact}) {
+    const IltObjective objective(sim, target,
+                                 defaultIltConfig(method, pixelNm));
+    expectWork(methodName(method).c_str(), 2,
+               [&] { (void)objective.evaluate(mask, true); });
+  }
+  IltConfig noPvb = defaultIltConfig(OpcMethod::kMosaicFast, pixelNm);
+  noPvb.beta = 0.0;
+  const IltObjective nominalOnly(sim, target, noPvb);
+  expectWork("beta = 0", 1, [&] { (void)nominalOnly.evaluate(mask, true); });
+
+  expectWork("evaluateMask", 2,
+             [&] { (void)evaluateMask(sim, mask, target, 0.0); });
+
+  ProcessWindowConfig window;
+  window.focusSteps = 3;
+  window.doseSteps = 5;
+  expectWork("3x5 process window", 3,
+             [&] { (void)measureProcessWindow(sim, mask, target, window); });
+}
+
+// The shared dose-1 image, thresholded at dose * I, must give the same
+// prints as a per-corner aerialFromSpectrum at that dose. cpu_scalar
+// applies the dose in one sweep after the sum, cpu_simd folds it into the
+// kernel weights, and the resist blur sits between dose and threshold, so
+// both backends are pinned with and without blur: images agree to 1e-10,
+// prints exactly.
+TEST(LithoBackendEquivalence, SharedFocusImagesMatchPerCornerPrints) {
+  LithoSimulator plainSim(smallOptics());
+  LithoSimulator blurSim(smallOptics(), blurResist(20.0));
+  const exec::Backend* backends[] = {&exec::scalarBackend(),
+                                     &exec::simdBackend()};
+  for (LithoSimulator* sim : {&plainSim, &blurSim}) {
+    for (const exec::Backend* backend : backends) {
+      sim->setBackend(backend);
+      SCOPED_TRACE(std::string(backend->name()) +
+                   (sim == &blurSim ? " with blur" : " without blur"));
+      const int pixelNm = sim->optics().pixelNm;
+      const RealGrid mask = testMask(sim->gridSize());
+      const BitGrid target = thresholdGrid(mask, 0.5);
+      const ComplexGrid spectrum = sim->maskSpectrum(mask);
+      const auto referencePrint = [&](const ProcessCorner& corner) {
+        return sim->printBinary(sim->aerialFromSpectrum(spectrum, corner));
+      };
+
+      // The images themselves, and the PV band built per corner.
+      const std::vector<ProcessCorner> corners = evaluationCorners();
+      const std::map<double, RealGrid> images =
+          sim->aerialByFocus(spectrum, corners);
+      EXPECT_EQ(images.size(), 2u);
+      BitGrid outer;
+      BitGrid inner;
+      for (const ProcessCorner& corner : corners) {
+        RealGrid dosed = images.at(corner.focusNm);
+        for (auto& v : dosed) v *= corner.dose;
+        EXPECT_LT(maxAbsDiff(dosed,
+                             sim->aerialFromSpectrum(spectrum, corner)),
+                  1e-10)
+            << "focus " << corner.focusNm << " dose " << corner.dose;
+        const BitGrid print = referencePrint(corner);
+        EXPECT_EQ(sim->printBinary(images.at(corner.focusNm), corner.dose),
+                  print);
+        outer = outer.empty() ? print : bitOr(outer, print);
+        inner = inner.empty() ? print : bitAnd(inner, print);
+      }
+      const PvBandResult pvb = computePvBand(*sim, mask, corners);
+      EXPECT_EQ(pvb.outer, outer);
+      EXPECT_EQ(pvb.inner, inner);
+      EXPECT_EQ(pvb.band, bitSub(outer, inner));
+      EXPECT_GT(pvb.bandPixels, 0);
+
+      // evaluateMask: nominal print from its own sum, PV band as above.
+      const BitGrid nominal = referencePrint(nominalCorner());
+      const EpeResult epe =
+          measureEpe(nominal, target, extractSamples(target, 40 / pixelNm),
+                     pixelNm, 15.0);
+      const ShapeResult shape = analyzeShape(nominal, target);
+      const CaseEvaluation ev = evaluateMask(*sim, mask, target, 0.0);
+      EXPECT_EQ(ev.epeViolations, epe.violations);
+      EXPECT_EQ(ev.meanAbsEpeNm, epe.meanAbsEpeNm);
+      EXPECT_EQ(ev.maxAbsEpeNm, epe.maxAbsEpeNm);
+      EXPECT_EQ(ev.shapeViolations, shape.violations());
+      EXPECT_EQ(ev.pvbandAreaNm2, pvb.bandAreaNm2);
+
+      // Process window: every (focus, dose) point of a 3 x 5 sweep.
+      ProcessWindowConfig window;
+      window.focusSteps = 3;
+      window.doseSteps = 5;
+      const ProcessWindowResult pw =
+          measureProcessWindow(*sim, mask, target, window);
+      const auto samples =
+          extractSamples(target, window.sampleSpacingNm / pixelNm);
+      ASSERT_EQ(pw.matrix.size(), 15u);
+      for (const FocusExposurePoint& point : pw.matrix) {
+        const BitGrid print = referencePrint({point.focusNm, point.dose});
+        EXPECT_EQ(point.epeViolations,
+                  measureEpe(print, target, samples, pixelNm,
+                             window.epeToleranceNm)
+                      .violations)
+            << "focus " << point.focusNm << " dose " << point.dose;
+        EXPECT_EQ(point.shapeViolations,
+                  analyzeShape(print, target).violations());
+      }
+    }
+  }
 }
 
 TEST(LithoBackendEquivalence, PvBandSpectrumOverloadIdentical) {

@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "geometry/bitmap_ops.hpp"
 #include "geometry/raster.hpp"
+#include "math/convolution.hpp"
+#include "math/fft.hpp"
 #include "math/stats.hpp"
 #include "opc/baselines.hpp"
 #include "opc/mosaic.hpp"
@@ -345,6 +350,170 @@ TEST(Objective, InLoopWideningIsLoggedOnceWhenBound) {
   EXPECT_EQ(log.find("splits a degenerate", first + 1), std::string::npos)
       << log;
   EXPECT_NE(log.find("at focus 25 nm; using 7"), std::string::npos) << log;
+}
+
+/// Per-corner reference for IltObjective::evaluate with regWeight = 0: the
+/// nominal corner and every PV corner get their own aerialFromSpectrum
+/// call (four SOCS sums for the default corners, where the objective
+/// shares one image per focus); the arithmetic otherwise follows the
+/// objective step for step, so the two must agree bit for bit.
+IltObjective::Evaluation perCornerReference(const IltObjective& obj,
+                                            const RealGrid& mask) {
+  const LithoSimulator& sim = obj.simulator();
+  const IltConfig& cfg = obj.config();
+  const ResistModel& resist = sim.resist();
+  const RealGrid& zt = obj.targetReal();
+  const int n = sim.gridSize();
+  const ComplexGrid spectrum = sim.maskSpectrum(mask);
+
+  const RealGrid z = sim.printContinuous(sim.aerialFromSpectrum(
+      spectrum, nominalCorner(), cfg.inLoopKernels));
+  // dF/dZ of the target term, times dZ/dI below.
+  RealGrid dFdZ(n, n, 0.0);
+  IltObjective::Evaluation ref;
+  if (cfg.targetTerm == TargetTerm::kImageDiff) {
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      const double d = z.data()[i] - zt.data()[i];
+      const double ad = std::fabs(d);
+      ref.targetValue += std::pow(ad, cfg.gamma);
+      dFdZ.data()[i] = cfg.gamma * std::pow(ad, cfg.gamma - 1.0) *
+                       ((d >= 0.0) ? 1.0 : -1.0);
+    }
+  } else {
+    const int pixelNm = sim.optics().pixelNm;
+    const int w = std::max(
+        1, static_cast<int>(std::lround(cfg.epeThresholdNm / pixelNm)));
+    RealGrid d2(n, n);
+    for (std::size_t i = 0; i < d2.size(); ++i) {
+      const double d = z.data()[i] - zt.data()[i];
+      d2.data()[i] = d * d;
+    }
+    const double tau = static_cast<double>(w);
+    RealGrid weight(n, n, 0.0);
+    for (const SamplePoint& s : obj.samples()) {
+      const auto at = [&](RealGrid& g, int t) -> double& {
+        return s.horizontal ? g(t, s.along) : g(s.along, t);
+      };
+      double dsum = 0.0;
+      for (int t = s.boundary - w; t <= s.boundary + w - 1; ++t) {
+        if (t >= 0 && t < n) dsum += at(d2, t);
+      }
+      const double sig =
+          1.0 / (1.0 + std::exp(-cfg.thetaEpe * (dsum - tau)));
+      ref.targetValue += sig;
+      for (int t = s.boundary - w; t <= s.boundary + w - 1; ++t) {
+        if (t >= 0 && t < n) at(weight, t) += cfg.thetaEpe * sig * (1.0 - sig);
+      }
+    }
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      dFdZ.data()[i] =
+          weight.data()[i] * 2.0 * (z.data()[i] - zt.data()[i]);
+    }
+  }
+
+  std::map<double, RealGrid> gByFocus;
+  const auto addField = [&](double focus, const RealGrid& g, double scale) {
+    RealGrid& acc = gByFocus.try_emplace(focus, n, n, 0.0).first->second;
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      acc.data()[i] += scale * g.data()[i];
+    }
+  };
+  RealGrid gTarget(n, n);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double zv = z.data()[i];
+    gTarget.data()[i] = dFdZ.data()[i] * (resist.thetaZ * zv * (1.0 - zv));
+  }
+  if (cfg.alpha > 0.0) addField(0.0, gTarget, cfg.alpha);
+
+  if (cfg.beta > 0.0) {
+    for (const ProcessCorner& corner : cfg.pvbCorners) {
+      const RealGrid aerial = sim.aerialFromSpectrum(
+          spectrum, {corner.focusNm, 1.0}, cfg.inLoopKernels);
+      RealGrid g(n, n);
+      double value = 0.0;
+      for (std::size_t i = 0; i < aerial.size(); ++i) {
+        const double zv = resist.sigmoid(corner.dose * aerial.data()[i]);
+        const double diff = zv - zt.data()[i];
+        value += diff * diff;
+        g.data()[i] =
+            2.0 * diff * (resist.thetaZ * zv * (1.0 - zv)) * corner.dose;
+      }
+      ref.pvbValue += value;
+      addField(corner.focusNm, g, cfg.beta);
+    }
+  }
+
+  ref.gradMask = RealGrid(n, n, 0.0);
+  const double diffusionPx = resist.diffusionSigmaNm / sim.optics().pixelNm;
+  const Fft2d& fft = fft2dFor(n, n);
+  for (const auto& [focus, g] : gByFocus) {
+    const KernelSet& set = sim.kernels(focus);
+    std::vector<exec::SpectrumView> views;
+    std::vector<double> weights;
+    if (cfg.gradientMode == GradientMode::kCombinedKernel) {
+      views.push_back({set.combined.flatIndex.data(),
+                       set.combined.value.data(),
+                       set.combined.flatIndex.size()});
+      weights.push_back(1.0);
+    } else {
+      for (int k = 0; k < set.truncatedCount(cfg.inLoopKernels); ++k) {
+        const SparseSpectrum& h = set.kernels[static_cast<std::size_t>(k)];
+        views.push_back({h.flatIndex.data(), h.value.data(),
+                         h.flatIndex.size()});
+        weights.push_back(set.weights[static_cast<std::size_t>(k)]);
+      }
+    }
+    ComplexGrid accum(n, n, {0.0, 0.0});
+    sim.activeBackend().accumulateGradientChains(
+        fft, spectrum, views.data(), weights.data(),
+        static_cast<int>(views.size()),
+        diffusionPx > 0.0 ? gaussianBlur(g, diffusionPx) : g, accum);
+    fft.inverse(accum);
+    for (std::size_t i = 0; i < accum.size(); ++i) {
+      ref.gradMask.data()[i] += 2.0 * accum.data()[i].real();
+    }
+  }
+  ref.value = cfg.alpha * ref.targetValue + cfg.beta * ref.pvbValue;
+  ref.zNominal = z;
+  return ref;
+}
+
+TEST(Objective, SharedFocusImagesMatchPerCornerReference) {
+  // The objective images each distinct focus once and applies the corner
+  // doses in its epilogue; value, gradient and nominal print must be
+  // bytewise those of the per-corner evaluation, for both MOSAIC target
+  // terms, both gradient modes and with and without resist diffusion.
+  OpticsConfig optics;
+  optics.pixelNm = 16;
+  ResistModel diffused;
+  diffused.diffusionSigmaNm = 24.0;
+  const LithoSimulator plainSim(optics);
+  const LithoSimulator blurSim(optics, diffused);
+  const BitGrid target = coarseTarget();
+  const RealGrid mask = smoothMask(target);
+  for (const LithoSimulator* sim : {&plainSim, &blurSim}) {
+    for (const OpcMethod method :
+         {OpcMethod::kMosaicFast, OpcMethod::kMosaicExact}) {
+      for (const GradientMode mode :
+           {GradientMode::kCombinedKernel, GradientMode::kPerKernel}) {
+        IltConfig cfg = defaultIltConfig(method, optics.pixelNm);
+        cfg.gradientMode = mode;
+        SCOPED_TRACE(methodName(method) +
+                     (mode == GradientMode::kPerKernel ? " per-kernel"
+                                                       : " combined") +
+                     (sim == &blurSim ? " with diffusion" : ""));
+        const IltObjective obj(*sim, target, cfg);
+        const IltObjective::Evaluation got = obj.evaluate(mask, true);
+        const IltObjective::Evaluation ref = perCornerReference(obj, mask);
+        EXPECT_EQ(got.value, ref.value);
+        EXPECT_EQ(got.targetValue, ref.targetValue);
+        EXPECT_EQ(got.pvbValue, ref.pvbValue);
+        EXPECT_TRUE(got.gradMask == ref.gradMask);
+        EXPECT_TRUE(got.zNominal == ref.zNominal);
+        EXPECT_GT(ref.pvbValue, 0.0);
+      }
+    }
+  }
 }
 
 TEST(Objective, TargetShapeMismatchThrows) {
