@@ -31,6 +31,11 @@ LithoSimulator::KernelEntry& LithoSimulator::kernelEntry(
 
 void LithoSimulator::computeInto(KernelEntry& entry, double focusNm) const {
   MOSAIC_FAILPOINT("litho.kernel_load");
+  // Kernel sets read from the cache, next to the litho.kernels.compute
+  // span count of the ones built; registered on first use so a run that
+  // builds every set reports 0.
+  static telemetry::Counter& loaded =
+      telemetry::metrics().counter("litho.kernels.loaded");
   std::unique_ptr<KernelSet> set;
   const std::string cachePath =
       cacheDir_.empty()
@@ -39,6 +44,7 @@ void LithoSimulator::computeInto(KernelEntry& entry, double focusNm) const {
   if (!cachePath.empty()) {
     try {
       set = std::make_unique<KernelSet>(loadKernelSet(cachePath));
+      loaded.add(1);
       LOG_INFO("loaded kernel cache " << cachePath);
     } catch (const Error&) {
       set.reset();  // miss or stale file -- recompute below
@@ -74,7 +80,10 @@ const KernelSet& LithoSimulator::kernels(double focusNm) const {
 
 void LithoSimulator::warmKernels(
     const std::vector<double>& focusValuesNm) const {
-  for (const double focus : focusValuesNm) (void)kernels(focus);
+  std::vector<double> foci = focusValuesNm;
+  std::sort(foci.begin(), foci.end());
+  foci.erase(std::unique(foci.begin(), foci.end()), foci.end());
+  parallelFor(0, foci.size(), [&](std::size_t i) { (void)kernels(foci[i]); });
 }
 
 ComplexGrid LithoSimulator::maskSpectrum(const RealGrid& mask) const {

@@ -58,6 +58,9 @@ class LithoSimulator {
   /// Purely a warm-up: concurrent first use is already correct, but
   /// pre-warming keeps the expensive TCC eigendecompositions off the
   /// worker threads (the tile scheduler calls this before fan-out).
+  /// Distinct foci load or compute concurrently over the work-stealing
+  /// pool; a focus listed twice is done once. The kernel sets do not
+  /// depend on the worker count.
   void warmKernels(const std::vector<double>& focusValuesNm) const;
 
   /// Execution backend for the SOCS hot loops (aerial sum; the gradient

@@ -1,13 +1,103 @@
 #include "litho/tcc.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "litho/pupil.hpp"
 #include "math/eigen.hpp"
 #include "support/log.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry/trace.hpp"
 
 namespace mosaic {
+
+namespace {
+
+constexpr std::size_t kEdge = kTccTileEdge;
+static_assert(kEdge <= 32, "one nonzero bit per sample of a block row");
+
+/// The pupil matrix P(s + f_p) in column blocks of kEdge lattice samples:
+/// block b holds samples [b kEdge, (b + 1) kEdge) of every source row,
+/// row after row, so a tile reads two contiguous streams. Real and
+/// imaginary parts sit in separate planes of one allocation, and `nonzero`
+/// holds one bit per sample of each (block, source) row.
+struct PupilBlocks {
+  std::size_t sources = 0;
+  std::size_t blockCount = 0;
+  std::vector<double> planes;          ///< real plane, then imaginary plane
+  std::vector<std::uint32_t> nonzero;  ///< [block][source] sample bits
+
+  PupilBlocks(std::size_t sourceCount, std::size_t latticeSize)
+      : sources(sourceCount),
+        blockCount((latticeSize + kEdge - 1) / kEdge),
+        planes(2 * sourceCount * blockCount * kEdge, 0.0),
+        nonzero(blockCount * sourceCount, 0u) {}
+
+  /// Store P(s + f_p). Calls for distinct sources may run concurrently.
+  void set(std::size_t s, std::size_t p, std::complex<double> value) {
+    const std::size_t at = ((p / kEdge) * sources + s) * kEdge + p % kEdge;
+    planes[at] = value.real();
+    planes[at + planes.size() / 2] = value.imag();
+    if (value != std::complex<double>{0.0, 0.0}) {
+      nonzero[(p / kEdge) * sources + s] |= 1u << (p % kEdge);
+    }
+  }
+  [[nodiscard]] const double* re(std::size_t block) const {
+    return planes.data() + block * sources * kEdge;
+  }
+  [[nodiscard]] const double* im(std::size_t block) const {
+    return re(block) + planes.size() / 2;
+  }
+  [[nodiscard]] const std::uint32_t* bits(std::size_t block) const {
+    return nonzero.data() + block * sources;
+  }
+};
+
+/// acc[j] += (ar + i ai) * conj(c[j]) over one tile row, spelled out as
+/// the complex product rounds: no FMA and no reassociation, so each entry
+/// matches a serial std::complex loop bit for bit. Lanes are independent
+/// entries, so the loop vectorizes without changing a result.
+inline void addConjugateProducts(double ar, double ai,
+                                 const double* __restrict cRe,
+                                 const double* __restrict cIm,
+                                 double* __restrict accRe,
+                                 double* __restrict accIm) {
+  for (std::size_t j = 0; j < kEdge; ++j) {
+    accRe[j] += ar * cRe[j] + ai * cIm[j];
+    accIm[j] += ai * cRe[j] - ar * cIm[j];
+  }
+}
+
+/// Accumulate the tile of p block `bp` and q block `bq` over every source
+/// in order. A term with P(s + f_p) == 0 or P(s + f_q) == 0 is +-0, and
+/// adding +-0 leaves an accumulator that starts at +0 bit-identical, so
+/// those terms are skipped.
+void accumulateTile(const PupilBlocks& pupil, std::size_t bp, std::size_t bq,
+                    double (&accRe)[kEdge][kEdge],
+                    double (&accIm)[kEdge][kEdge]) {
+  const double* pRe = pupil.re(bp);
+  const double* pIm = pupil.im(bp);
+  const double* qRe = pupil.re(bq);
+  const double* qIm = pupil.im(bq);
+  const std::uint32_t* pBits = pupil.bits(bp);
+  const std::uint32_t* qBits = pupil.bits(bq);
+  for (std::size_t s = 0; s < pupil.sources; ++s) {
+    std::uint32_t rows = qBits[s] != 0 ? pBits[s] : 0u;
+    while (rows != 0) {
+      const int i = std::countr_zero(rows);
+      rows &= rows - 1;
+      addConjugateProducts(pRe[i], pIm[i], qRe, qIm, accRe[i], accIm[i]);
+    }
+    pRe += kEdge;
+    pIm += kEdge;
+    qRe += kEdge;
+    qIm += kEdge;
+  }
+}
+
+}  // namespace
 
 std::vector<PupilSample> pupilLattice(const OpticsConfig& optics) {
   optics.validate();
@@ -58,39 +148,49 @@ std::vector<std::complex<double>> buildTcc(
   }
   MOSAIC_CHECK(!source.empty(), "source sampling produced no points");
 
-  const int n = static_cast<int>(lattice.size());
-  // Precompute P(s + f_p) for every (source, lattice) pair.
-  std::vector<std::complex<double>> pupilAt(
-      source.size() * static_cast<std::size_t>(n));
-  for (std::size_t s = 0; s < source.size(); ++s) {
-    for (int p = 0; p < n; ++p) {
-      pupilAt[s * static_cast<std::size_t>(n) + static_cast<std::size_t>(p)] =
-          pupil.value(source[s].first + lattice[static_cast<std::size_t>(p)].fx,
-                      source[s].second + lattice[static_cast<std::size_t>(p)].fy);
+  const std::size_t n = lattice.size();
+  // Rows fill in parallel; each value depends on its (s, p) alone.
+  PupilBlocks blocks(source.size(), n);
+  parallelFor(0, source.size(), [&](std::size_t s) {
+    for (std::size_t p = 0; p < n; ++p) {
+      blocks.set(s, p,
+                 pupil.value(source[s].first + lattice[p].fx,
+                             source[s].second + lattice[p].fy));
+    }
+  });
+
+  // T(p, q) for q >= p, one task per square tile of the upper triangle.
+  // A tile keeps its accumulators in L1 and walks the sources in order,
+  // so every entry receives the terms of a serial rank-one loop in the
+  // same order, whatever the worker count. Entries below the diagonal or
+  // past the lattice are accumulated too and then dropped.
+  std::vector<std::pair<std::size_t, std::size_t>> tiles;
+  for (std::size_t bp = 0; bp < blocks.blockCount; ++bp) {
+    for (std::size_t bq = bp; bq < blocks.blockCount; ++bq) {
+      tiles.emplace_back(bp, bq);
     }
   }
-
-  std::vector<std::complex<double>> tcc(static_cast<std::size_t>(n) * n,
-                                        {0.0, 0.0});
+  std::vector<std::complex<double>> tcc(n * n, {0.0, 0.0});
   const double norm = 1.0 / static_cast<double>(source.size());
-  for (std::size_t s = 0; s < source.size(); ++s) {
-    const std::complex<double>* row = &pupilAt[s * static_cast<std::size_t>(n)];
-    for (int p = 0; p < n; ++p) {
-      if (row[p] == std::complex<double>{0.0, 0.0}) continue;
-      const std::complex<double> pp = row[p];
-      for (int q = p; q < n; ++q) {
-        tcc[static_cast<std::size_t>(p) * n + q] += pp * std::conj(row[q]);
+  parallelFor(0, tiles.size(), [&](std::size_t t) {
+    const auto [bp, bq] = tiles[t];
+    alignas(64) double accRe[kEdge][kEdge] = {};
+    alignas(64) double accIm[kEdge][kEdge] = {};
+    accumulateTile(blocks, bp, bq, accRe, accIm);
+    // Normalize and fill the mirrored lower-triangle entries.
+    const std::size_t p0 = bp * kEdge;
+    const std::size_t q0 = bq * kEdge;
+    for (std::size_t p = p0; p < std::min(n, p0 + kEdge); ++p) {
+      for (std::size_t q = std::max(p, q0); q < std::min(n, q0 + kEdge);
+           ++q) {
+        std::complex<double> upper{accRe[p - p0][q - q0],
+                                   accIm[p - p0][q - q0]};
+        upper *= norm;
+        tcc[p * n + q] = upper;
+        tcc[q * n + p] = std::conj(upper);
       }
     }
-  }
-  // Fill the lower triangle by Hermitian symmetry and apply normalization.
-  for (int p = 0; p < n; ++p) {
-    for (int q = p; q < n; ++q) {
-      auto& upper = tcc[static_cast<std::size_t>(p) * n + q];
-      upper *= norm;
-      tcc[static_cast<std::size_t>(q) * n + p] = std::conj(upper);
-    }
-  }
+  });
   return tcc;
 }
 

@@ -6,6 +6,8 @@
 /// reading opaque kernel blobs we derive them from first principles
 /// (annular source, circular pupil, defocus aberration).
 
+#include <complex>
+#include <cstddef>
 #include <vector>
 
 #include "litho/kernels.hpp"
@@ -30,10 +32,21 @@ std::vector<PupilSample> pupilLattice(const OpticsConfig& optics);
 /// there.
 int dcLatticeIndex(const std::vector<PupilSample>& lattice);
 
+/// Edge of the square (p, q) tiles buildTcc splits the upper triangle into.
+inline constexpr std::size_t kTccTileEdge = 32;
+
 /// Build the TCC matrix restricted to the pupil lattice:
 /// T(p, q) = (1/S) * sum_s J(s) P(s + f_p) conj(P(s + f_q)),
 /// with J a uniform annular source sampled `sourceOversample` times finer
 /// than the pupil lattice. Row-major n x n Hermitian, n = lattice size.
+///
+/// The S x n pupil matrix is filled per source row, and the upper triangle
+/// is accumulated in kTccTileEdge-square tiles, both fanned out over the
+/// work-stealing pool. Every tile walks the sources in order, so each
+/// entry gets the additions of a serial per-source rank-one loop in the
+/// same order and without FMA, skipping only +-0 terms, which leave it
+/// unchanged: the result is byte-identical to that loop at every worker
+/// count (WorkerInvariance.TccBuildIsBitIdentical).
 std::vector<std::complex<double>> buildTcc(
     const OpticsConfig& optics, double focusNm,
     const std::vector<PupilSample>& lattice);

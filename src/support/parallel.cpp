@@ -174,15 +174,18 @@ class Pool {
     sleepCv_.notify_one();
   }
 
-  /// Help until the group drains: run tasks from the current thread's own
-  /// deque (anything there descends from this thread's work), steal tasks
-  /// of the *same group* from other deques, and otherwise nap briefly on
-  /// the group's condition variable. Every participant keeps executing,
-  /// so group waits can never deadlock.
+  /// Help until the group drains: run tasks of *this group* only, from
+  /// the current thread's own deque first and then from other deques, and
+  /// otherwise nap briefly on the group's condition variable. A waiter
+  /// never runs an unrelated task nested inside its wait: that task could
+  /// re-enter a lock or std::call_once the waiting frame holds (a cold
+  /// LithoSimulator::kernels() fans its TCC build out from inside one).
+  /// Every group has its waiter executing its tasks, so waits cannot
+  /// deadlock.
   void waitGroup(const std::shared_ptr<GroupState>& group) {
     while (group->pending.load(std::memory_order_acquire) != 0) {
       Task task;
-      if (popOwn(&task) || stealFor(group.get(), &task)) {
+      if (popOwn(group.get(), &task) || stealFor(group.get(), &task)) {
         execute(task);
         continue;
       }
@@ -236,15 +239,22 @@ class Pool {
     }
   }
 
-  bool popOwn(Task* out) {
+  /// Pop the newest task of the current worker's own deque; `group`
+  /// restricts the pop to that group's tasks (used while waiting), nullptr
+  /// pops anything.
+  bool popOwn(const GroupState* group, Task* out) {
     const int self = t_workerIndex;
     if (self < 0 || !started_.load(std::memory_order_acquire)) return false;
     WorkerQueue& q = *queues_[static_cast<std::size_t>(self)];
     std::lock_guard<std::mutex> lock(q.mu);
-    if (q.dq.empty()) return false;
-    *out = std::move(q.dq.front());
-    q.dq.pop_front();
-    return true;
+    for (auto it = q.dq.begin(); it != q.dq.end(); ++it) {
+      if (group == nullptr || it->group.get() == group) {
+        *out = std::move(*it);
+        q.dq.erase(it);
+        return true;
+      }
+    }
+    return false;
   }
 
   /// Steal from the back of another deque. `group` restricts the steal to
@@ -284,7 +294,7 @@ class Pool {
     WallTimer idleTimer;
     for (;;) {
       Task task;
-      if (popOwn(&task) || stealFor(nullptr, &task)) {
+      if (popOwn(nullptr, &task) || stealFor(nullptr, &task)) {
         if (idleTimed) {
           idleHistogram_->record(idleTimer.milliseconds());
           idleTimed = false;
@@ -303,7 +313,7 @@ class Pool {
       bool found = false;
       for (int spin = 0; spin < 64 && !found; ++spin) {
         std::this_thread::yield();
-        found = popOwn(&task) || stealFor(nullptr, &task);
+        found = popOwn(nullptr, &task) || stealFor(nullptr, &task);
       }
       if (found) {
         idleHistogram_->record(idleTimer.milliseconds());
@@ -320,7 +330,7 @@ class Pool {
         std::lock_guard<std::mutex> lock(sleepMu_);
         seen = signal_;
       }
-      if (popOwn(&task) || stealFor(nullptr, &task)) {
+      if (popOwn(nullptr, &task) || stealFor(nullptr, &task)) {
         idleHistogram_->record(idleTimer.milliseconds());
         idleTimed = false;
         trimmed = false;

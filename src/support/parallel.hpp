@@ -12,7 +12,10 @@
 /// enqueues subtasks onto the executing worker's own deque (LIFO, so the
 /// worker keeps cache-hot work) and idle workers steal them — inner
 /// pixel/corner loops and outer tile loops share one bounded worker set
-/// instead of the inner level degrading to serial.
+/// instead of the inner level degrading to serial. A thread waiting for a
+/// loop or TaskGroup helps only with that group's tasks, so a task never
+/// runs nested inside an unrelated wait; code may therefore fan out while
+/// holding a lock or a std::call_once that sibling tasks also take.
 ///
 /// Error handling is cooperative: the first exception thrown by a task
 /// aborts its task group — sibling chunks that have not started yet are

@@ -14,6 +14,7 @@
 #include "math/stats.hpp"
 #include "suite/testcases.hpp"
 #include "support/failpoint.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
 namespace {
@@ -390,6 +391,42 @@ TEST(KernelCache, SimulatorUsesTheDiskCache) {
   const RealGrid b = second.aerial(mask, nominalCorner());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.data()[i], b.data()[i]);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(KernelCache, CountsKernelSetsBuiltAndLoaded) {
+  // litho.kernels.loaded counts cache-file hits; the litho.kernels.compute
+  // span counts kernel sets built. warmKernels does a repeated focus once.
+  OpticsConfig optics;
+  optics.pixelNm = 16;
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mosaic_kcache_counts";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  telemetry::Counter& loaded =
+      telemetry::metrics().counter("litho.kernels.loaded");
+  telemetry::Histogram& computed =
+      telemetry::metrics().histogram("litho.kernels.compute");
+  const std::vector<double> foci{0.0, 25.0, 0.0};
+
+  std::uint64_t loaded0 = loaded.value();
+  std::uint64_t computed0 = computed.count();
+  LithoSimulator first(optics);
+  first.setKernelCacheDir(dir.string());
+  first.warmKernels(foci);
+  EXPECT_EQ(loaded.value() - loaded0, 0u);
+  EXPECT_EQ(computed.count() - computed0, 2u);
+
+  loaded0 = loaded.value();
+  computed0 = computed.count();
+  LithoSimulator second(optics);
+  second.setKernelCacheDir(dir.string());
+  second.warmKernels(foci);
+  EXPECT_EQ(loaded.value() - loaded0, 2u);
+  EXPECT_EQ(computed.count() - computed0, 0u);
+  for (const double focus : {0.0, 25.0}) {
+    EXPECT_EQ(second.kernels(focus).weights, first.kernels(focus).weights);
   }
   std::filesystem::remove_all(dir);
 }

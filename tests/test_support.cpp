@@ -492,6 +492,45 @@ TEST(Parallel, TaskGroupRunsWaitsAndRethrows) {
   setParallelism(0);
 }
 
+TEST(Parallel, WaiterRunsOnlyTasksOfItsOwnGroup) {
+  // A pool worker runs R. R queues a sibling task B on its own deque, then
+  // waits for an inner group whose only task is still pending. The waiter
+  // must not run B inside that wait: B could take a lock or call_once that
+  // R holds, and on the same thread that deadlocks.
+  setParallelism(2);  // one pool thread plus the caller
+  thread_local bool insideInnerWait = false;
+  std::atomic<bool> started{false};
+  std::atomic<bool> nested{false};
+  std::atomic<int> ran{0};
+  {
+    TaskGroup outer;
+    outer.run([&] {
+      started.store(true);
+      TaskGroup sibling;
+      TaskGroup inner;
+      inner.run([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ran.fetch_add(1);
+      });
+      sibling.run([&] {
+        if (insideInnerWait) nested.store(true);
+        ran.fetch_add(1);
+      });
+      insideInnerWait = true;
+      inner.wait();
+      insideInnerWait = false;
+      sibling.wait();
+    });
+    // Let the pool thread pick R up, so R's subtasks land on a worker
+    // deque; a waiting caller would only ever steal R itself.
+    while (!started.load()) std::this_thread::yield();
+    outer.wait();
+  }
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_FALSE(nested.load());
+  setParallelism(0);
+}
+
 namespace teardown_probe {
 std::atomic<int> calls{0};
 void hook() { calls.fetch_add(1); }
