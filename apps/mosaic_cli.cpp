@@ -459,7 +459,7 @@ int cmdBatch(int argc, char** argv) {
       break;  // not-yet-started clips are simply left for the resumed run
     }
     ClipOutcome outcome;
-    outcome.name = "B" + std::to_string(index);
+    outcome.name = std::string("B").append(std::to_string(index));
     const std::string clipCkpt =
         checkpointDir.empty() ? std::string()
                               : checkpointDir + "/" + outcome.name + ".ckpt";
@@ -784,8 +784,10 @@ int cmdChip(int argc, char** argv) {
   for (const TileOutcome& o : res.outcomes) {
     std::string detail = o.error;
     if (detail.size() > 48) detail = detail.substr(0, 45) + "...";
-    const std::string name =
-        "r" + std::to_string(o.row) + "c" + std::to_string(o.col);
+    const std::string name = std::string("r")
+                                 .append(std::to_string(o.row))
+                                 .append("c")
+                                 .append(std::to_string(o.col));
     std::string status;
     if (o.skippedEmpty) {
       status = "empty";

@@ -5,10 +5,10 @@
 /// gradients (forwardRealInto + inverseRealInto), across grid sizes and
 /// thread counts. Each thread transforms its own grid through the shared
 /// plan, which is the tile scheduler's access pattern. A second series
-/// times the batched SOCS aerial + gradient workload per execution
-/// backend; the two backends alternate inside every repetition and the
-/// SIMD speedup is the median of the per-repetition scalar/SIMD ratios
-/// (the --simd-gate the fft_simd_smoke ctest enforces). Emits
+/// times the SOCS aerial + gradient workload per execution backend; the
+/// two backends alternate inside every repetition and the band-limited
+/// speedup is the median of the per-repetition scalar/band ratios (the
+/// --band-gate the fft_band_smoke ctest enforces). Emits
 /// BENCH_fft.json; with --min-speedup S it exits nonzero
 /// when the real path is not at least S times faster than the complex
 /// path at the gate size (enforced at 1.0 -- "never slower" -- by the
@@ -84,10 +84,10 @@ struct Row {
 };
 
 // ---------------------------------------------------------------------------
-// Execution-backend series: the batched SOCS aerial + gradient hot path
+// Execution-backend series: the SOCS aerial + gradient hot path
 // (docs/performance.md "Execution backends"). Synthetic pupil-disc
-// kernels reproduce the sparsity structure the cpu_simd pruning exploits
-// (support ~ a disc around DC, a few percent of rows at production size).
+// kernels reproduce the band limit the cpu_band lattice exploits (support
+// ~ a disc around DC, a few percent of rows at production size).
 // ---------------------------------------------------------------------------
 
 struct SyntheticKernels {
@@ -156,8 +156,8 @@ int main(int argc, char** argv) {
   int gateSize = 1024;
   double minSpeedup = -1.0;
   bool smoke = false;
-  bool simdSmoke = false;
-  double simdGate = -1.0;
+  bool bandSmoke = false;
+  double bandGate = -1.0;
   std::string jsonPath = "BENCH_fft.json";
 
   CliParser cli("bm_fft",
@@ -170,13 +170,13 @@ int main(int argc, char** argv) {
                 "(<0 = off)");
   cli.addFlag("smoke", &smoke,
               "gate size only, single thread (the tier-1 perf smoke)");
-  cli.addFlag("simd-smoke", &simdSmoke,
-              "backend series only, at the gate size (the fft_simd_smoke "
-              "tier-1 test); skips cleanly without AVX2");
-  cli.addDouble("simd-gate", &simdGate,
-                "fail when cpu_simd is not this many times faster than "
-                "cpu_scalar on the batched aerial+gradient path at the "
-                "gate size, and verify scalar/SIMD equivalence (<0 = off)");
+  cli.addFlag("band-smoke", &bandSmoke,
+              "backend series only, at the gate size (the fft_band_smoke "
+              "tier-1 test)");
+  cli.addDouble("band-gate", &bandGate,
+                "fail when cpu_band is not this many times faster than "
+                "cpu_scalar on the aerial+gradient path at the gate size, "
+                "and verify scalar/band equivalence (<0 = off)");
   cli.addString("json", &jsonPath, "output JSON path");
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
                  "gate size must be a power of two");
 
     const std::vector<int> sizes =
-        simdSmoke ? std::vector<int>{}
+        bandSmoke ? std::vector<int>{}
         : smoke   ? std::vector<int>{gateSize}
                   : std::vector<int>{256, 512, 1024, 2048};
     const std::vector<int> threadCounts =
@@ -252,100 +252,88 @@ int main(int argc, char** argv) {
       }
     }
 
-    // ---- execution-backend series (batched SOCS aerial + gradient) ----
+    // ---- execution-backend series (SOCS aerial + gradient) ----
     std::vector<BackendRow> backendRows;
-    bool simdSkipped = false;
     bool backendEquivOk = true;
-    double gateSimdSpeedup = 0.0;
+    double gateBandSpeedup = 0.0;
     if (!smoke) {
-      if (simdSmoke && !exec::cpuHasAvx2()) {
-        std::printf("fft_simd_smoke: CPU has no AVX2+FMA, skipping the "
-                    "backend gate\n");
-        simdSkipped = true;
-      } else {
-        const std::vector<int> backendSizes =
-            simdSmoke ? std::vector<int>{gateSize}
-                      : std::vector<int>{512, 1024};
-        constexpr int kKernels = 24;  // one focus' SOCS kernel count
-        for (const int n : backendSizes) {
-          const Fft2d& fft = fft2dFor(n, n);
-          const SyntheticKernels kern(n, kKernels);
-          const ComplexGrid spectrum = randomGrid(n, 7);
-          const RealGrid gField = randomRealGrid(n, 8);
-          const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                             &exec::simdBackend()};
-          constexpr int kBackends = 2;
-          std::vector<RealGrid> intensity(kBackends, RealGrid(n, n, 0.0));
-          std::vector<ComplexGrid> accum(kBackends,
-                                         ComplexGrid(n, n, {0.0, 0.0}));
-          BackendRow rows[kBackends];
-          // The backends alternate inside every repetition, so each
-          // repetition's scalar/SIMD ratio is taken under one machine
-          // load; the speedup is the median of those paired ratios.
-          std::vector<double> ratios;
-          for (int r = 0; r < reps; ++r) {
-            double total[kBackends] = {};
-            for (int b = 0; b < kBackends; ++b) {
-              const exec::Backend* backend = backends[b];
-              const double aerialMs = 1000.0 * timeBatch(1, 1, 1, [&](int) {
-                intensity[b].fill(0.0);
-                backend->accumulateCoherentIntensity(
-                    fft, spectrum, kern.views.data(), kern.weights.data(),
-                    kKernels, 1.05, intensity[b]);
-              });
-              const double gradMs = 1000.0 * timeBatch(1, 1, 1, [&](int) {
-                accum[b].fill({0.0, 0.0});
-                backend->accumulateGradientChains(
-                    fft, spectrum, kern.views.data(), kern.weights.data(),
-                    kKernels, gField, accum[b]);
-              });
-              BackendRow& row = rows[b];
-              row.aerialMs = r == 0 ? aerialMs : std::min(row.aerialMs,
-                                                          aerialMs);
-              row.gradMs = r == 0 ? gradMs : std::min(row.gradMs, gradMs);
-              total[b] = aerialMs + gradMs;
-            }
-            ratios.push_back(total[0] / total[1]);
-          }
-          std::sort(ratios.begin(), ratios.end());
-          const std::size_t mid = ratios.size() / 2;
-          const double speedup =
-              ratios.size() % 2 == 1
-                  ? ratios[mid]
-                  : 0.5 * (ratios[mid - 1] + ratios[mid]);
-          // Equivalence vs the scalar reference, relative to the result
-          // magnitude.
-          double intensityScale = 1.0;
-          double accumScale = 1.0;
-          for (const double v : intensity[0]) {
-            intensityScale = std::max(intensityScale, std::abs(v));
-          }
-          for (const auto& v : accum[0]) {
-            accumScale = std::max(accumScale, std::abs(v));
-          }
-          const double aerialRel =
-              maxAbsDiff(intensity[1], intensity[0]) / intensityScale;
-          const double gradRel = maxAbsDiff(accum[1], accum[0]) / accumScale;
-          if (aerialRel > 1e-9 || gradRel > 1e-9) {
-            backendEquivOk = false;
-            std::fprintf(stderr,
-                         "bm_fft: %s diverges from cpu_scalar at %d^2 "
-                         "(aerial rel %.2e, grad rel %.2e)\n",
-                         backends[1]->name(), n, aerialRel, gradRel);
-          }
-          if (n == gateSize) gateSimdSpeedup = speedup;
+      const std::vector<int> backendSizes =
+          bandSmoke ? std::vector<int>{gateSize} : std::vector<int>{512, 1024};
+      constexpr int kKernels = 24;  // one focus' SOCS kernel count
+      for (const int n : backendSizes) {
+        const SyntheticKernels kern(n, kKernels);
+        const ComplexGrid spectrum = randomGrid(n, 7);
+        const RealGrid gField = randomRealGrid(n, 8);
+        const exec::Backend* backends[] = {&exec::scalarBackend(),
+                                           &exec::bandBackend()};
+        constexpr int kBackends = 2;
+        std::vector<RealGrid> intensity(kBackends, RealGrid(n, n, 0.0));
+        std::vector<ComplexGrid> accum(kBackends,
+                                       ComplexGrid(n, n, {0.0, 0.0}));
+        BackendRow rows[kBackends];
+        // The backends alternate inside every repetition, so each
+        // repetition's scalar/band ratio is taken under one machine
+        // load; the speedup is the median of those paired ratios.
+        std::vector<double> ratios;
+        for (int r = 0; r < reps; ++r) {
+          double total[kBackends] = {};
           for (int b = 0; b < kBackends; ++b) {
+            const exec::Backend* backend = backends[b];
+            const double aerialMs = 1000.0 * timeBatch(1, 1, 1, [&](int) {
+              backend->coherentIntensity(spectrum, kern.views.data(),
+                                         kern.weights.data(), kKernels, 1.05,
+                                         0.0, intensity[b]);
+            });
+            const double gradMs = 1000.0 * timeBatch(1, 1, 1, [&](int) {
+              accum[b].fill({0.0, 0.0});
+              backend->accumulateGradientChains(
+                  spectrum, kern.views.data(), kern.weights.data(), kKernels,
+                  gField, 0.0, accum[b]);
+            });
             BackendRow& row = rows[b];
-            row.backend = backends[b]->name();
-            row.size = n;
-            row.speedup = b == 0 ? 1.0 : speedup;
-            backendRows.push_back(row);
-            std::printf("backend %-12s size %4d  aerial %8.2f ms  grad "
-                        "%8.2f ms  (%.2fx vs scalar)\n",
-                        row.backend, n, row.aerialMs, row.gradMs,
-                        row.speedup);
-            std::fflush(stdout);
+            row.aerialMs = r == 0 ? aerialMs : std::min(row.aerialMs,
+                                                        aerialMs);
+            row.gradMs = r == 0 ? gradMs : std::min(row.gradMs, gradMs);
+            total[b] = aerialMs + gradMs;
           }
+          ratios.push_back(total[0] / total[1]);
+        }
+        std::sort(ratios.begin(), ratios.end());
+        const std::size_t mid = ratios.size() / 2;
+        const double speedup = ratios.size() % 2 == 1
+                                   ? ratios[mid]
+                                   : 0.5 * (ratios[mid - 1] + ratios[mid]);
+        // Equivalence vs the scalar reference, relative to the result
+        // magnitude.
+        double intensityScale = 1.0;
+        double accumScale = 1.0;
+        for (const double v : intensity[0]) {
+          intensityScale = std::max(intensityScale, std::abs(v));
+        }
+        for (const auto& v : accum[0]) {
+          accumScale = std::max(accumScale, std::abs(v));
+        }
+        const double aerialRel =
+            maxAbsDiff(intensity[1], intensity[0]) / intensityScale;
+        const double gradRel = maxAbsDiff(accum[1], accum[0]) / accumScale;
+        if (aerialRel > 1e-9 || gradRel > 1e-9) {
+          backendEquivOk = false;
+          std::fprintf(stderr,
+                       "bm_fft: %s diverges from cpu_scalar at %d^2 "
+                       "(aerial rel %.2e, grad rel %.2e)\n",
+                       backends[1]->name(), n, aerialRel, gradRel);
+        }
+        if (n == gateSize) gateBandSpeedup = speedup;
+        for (int b = 0; b < kBackends; ++b) {
+          BackendRow& row = rows[b];
+          row.backend = backends[b]->name();
+          row.size = n;
+          row.speedup = b == 0 ? 1.0 : speedup;
+          backendRows.push_back(row);
+          std::printf("backend %-12s size %4d  aerial %8.2f ms  grad "
+                      "%8.2f ms  (%.2fx vs scalar)\n",
+                      row.backend, n, row.aerialMs, row.gradMs, row.speedup);
+          std::fflush(stdout);
         }
       }
     }
@@ -375,7 +363,7 @@ int main(int argc, char** argv) {
                        TextTable::num(row.gradMs, 2),
                        TextTable::num(row.speedup, 2)});
       }
-      std::printf("\n== bm_fft: batched SOCS aerial + gradient (24 kernels) "
+      std::printf("\n== bm_fft: SOCS aerial + gradient (24 kernels) "
                   "per backend ==\n%s",
                   btable.render().c_str());
     }
@@ -426,24 +414,24 @@ int main(int argc, char** argv) {
                   gateSize);
     }
 
-    if (simdGate >= 0.0 && !simdSkipped) {
+    if (bandGate >= 0.0) {
       if (!backendEquivOk) {
         std::fprintf(stderr,
                      "bm_fft: backend equivalence check failed (above)\n");
         return 1;
       }
-      MOSAIC_CHECK(gateSimdSpeedup > 0.0,
-                   "cpu_simd at gate size " << gateSize
+      MOSAIC_CHECK(gateBandSpeedup > 0.0,
+                   "cpu_band at gate size " << gateSize
                                             << " was not measured");
-      if (gateSimdSpeedup < simdGate) {
+      if (gateBandSpeedup < bandGate) {
         std::fprintf(stderr,
-                     "bm_fft: cpu_simd speedup %.2fx at %d^2 is below the "
+                     "bm_fft: cpu_band speedup %.2fx at %d^2 is below the "
                      "%.2fx gate\n",
-                     gateSimdSpeedup, gateSize, simdGate);
+                     gateBandSpeedup, gateSize, bandGate);
         return 1;
       }
-      std::printf("simd gate: %.2fx >= %.2fx at %d^2, equivalence ok\n",
-                  gateSimdSpeedup, simdGate, gateSize);
+      std::printf("band gate: %.2fx >= %.2fx at %d^2, equivalence ok\n",
+                  gateBandSpeedup, bandGate, gateSize);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bm_fft: %s\n", e.what());

@@ -56,11 +56,11 @@ BENCHMARK(BM_ObjectiveEvaluation)
     ->Unit(benchmark::kMillisecond);
 
 // Same objective evaluation routed through each execution backend
-// (docs/performance.md, "Execution backends"). cpu_simd runs its portable
-// lanes on machines without AVX2.
+// (docs/performance.md, "Execution backends"): the full-grid cpu_scalar
+// reference and the band-limited cpu_band default.
 void BM_ObjectiveEvaluationBackend(benchmark::State& state) {
   const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                     &exec::simdBackend()};
+                                     &exec::bandBackend()};
   const exec::Backend& backend = *backends[state.range(0)];
   env().sim.setBackend(&backend);
   IltConfig cfg = defaultIltConfig(OpcMethod::kMosaicFast, 4);

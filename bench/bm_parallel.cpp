@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
       if (maxNestedRatio > 0.0 && nestedRatio2 > maxNestedRatio) {
         if (hwThreads < 2) {
           // A second worker cannot speed anything up on one CPU; report
-          // instead of failing (mirrors fft_simd_smoke without AVX2).
+          // instead of failing.
           std::printf("nested-ratio gate skipped: 1 hardware thread\n");
         } else {
           std::fprintf(stderr,

@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
     for (const auto& corner : corners) {
       const BitGrid print =
           sim.printBinary(images.at(corner.focusNm), corner.dose);
-      table.addRow({"(" + std::string(1, static_cast<char>('a' + idx)) + ")",
+      const char label[] = {'(', static_cast<char>('a' + idx), ')', '\0'};
+      table.addRow({label,
                     TextTable::num(corner.focusNm, 0),
                     TextTable::num(corner.dose, 2),
                     TextTable::integer(countSet(print)),

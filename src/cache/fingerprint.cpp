@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "litho/kernel_cache.hpp"
+#include "math/backend.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -111,6 +112,7 @@ std::uint64_t solverConfigDigest(const OpticsConfig& optics,
   h.mix(methodId);
   h.mix(windowNm);
   h.mix(pixelNm);
+  h.mix(exec::kSocsNumericsVersion);
   return h.digest();
 }
 

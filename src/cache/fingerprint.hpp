@@ -73,8 +73,9 @@ struct TileFingerprint {
 [[nodiscard]] std::uint64_t iltConfigDigest(const IltConfig& cfg);
 
 /// Digest of everything outside the geometry: optics, ILT config, the
-/// method id (pass the OpcMethod cast to int), window edge and pixel
-/// pitch. Feed the result to fingerprintWindow as `configHash`.
+/// method id (pass the OpcMethod cast to int), window edge, pixel pitch
+/// and the SOCS numerics version (exec::kSocsNumericsVersion). Feed the
+/// result to fingerprintWindow as `configHash`.
 [[nodiscard]] std::uint64_t solverConfigDigest(const OpticsConfig& optics,
                                                const IltConfig& ilt,
                                                int methodId, int windowNm,

@@ -4,7 +4,6 @@
 
 #include "litho/kernel_cache.hpp"
 #include "litho/tcc.hpp"
-#include "math/convolution.hpp"
 #include "support/failpoint.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/log.hpp"
@@ -97,6 +96,7 @@ ComplexGrid LithoSimulator::maskSpectrum(const RealGrid& mask) const {
   static telemetry::Counter& spectra =
       telemetry::metrics().counter("litho.mask_spectrum");
   spectra.add(1);
+  exec::fullTransforms().add(1);
   return fft2dFor(n, n).forwardReal(mask);
 }
 
@@ -131,13 +131,10 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
   sums.add(1);
   const KernelSet& set = kernels(corner.focusNm);
   const int count = set.truncatedCount(maxKernels);
-  const Fft2d& fft = fft2dFor(n, n);
-  RealGrid intensity(n, n, 0.0);
-  // The SOCS sum runs on the selected execution backend. The dose factor
-  // is applied exactly once, inside the backend (however it folds it);
-  // the resist blur below stays outside so it also applies exactly once
-  // regardless of backend (regression-tested in tests/test_backend.cpp
-  // for dose != 1 combined with blur > 0).
+  // The SOCS sum runs on the selected execution backend, which also
+  // applies the dose and then the resist blur, each exactly once
+  // (regression-tested in tests/test_backend.cpp for dose != 1 combined
+  // with blur > 0).
   std::vector<exec::SpectrumView> views(static_cast<std::size_t>(count));
   for (int k = 0; k < count; ++k) {
     const SparseSpectrum& spec = set.kernels[static_cast<std::size_t>(k)];
@@ -145,13 +142,10 @@ RealGrid LithoSimulator::aerialFromSpectrum(const ComplexGrid& spectrum,
                                           spec.value.data(),
                                           spec.flatIndex.size()};
   }
-  activeBackend().accumulateCoherentIntensity(fft, spectrum, views.data(),
-                                              set.weights.data(), count,
-                                              corner.dose, intensity);
-  if (resist_.diffusionSigmaNm > 0.0) {
-    intensity = gaussianBlur(
-        intensity, resist_.diffusionSigmaNm / optics_.pixelNm);
-  }
+  RealGrid intensity(n, n);
+  activeBackend().coherentIntensity(
+      spectrum, views.data(), set.weights.data(), count, corner.dose,
+      resist_.diffusionSigmaNm / optics_.pixelNm, intensity);
   return intensity;
 }
 

@@ -19,7 +19,9 @@ namespace mosaic {
 
 /// Forward lithography simulator.
 ///
-/// The expensive part of a simulation is the per-kernel inverse FFT; when
+/// A simulation costs one full-grid forward FFT of the mask and, per
+/// SOCS sum, one coarse-lattice inverse FFT per kernel plus one full-grid
+/// inverse of the band-limited intensity (exec::Backend, cpu_band); when
 /// evaluating several corners of the same mask, compute the mask spectrum
 /// once via maskSpectrum() and the images once per focus via
 /// aerialByFocus().
@@ -65,10 +67,10 @@ class LithoSimulator {
 
   /// Execution backend for the SOCS hot loops (aerial sum; the gradient
   /// chains in opc/objective follow this too). nullptr (the default)
-  /// defers to the process-wide exec::currentBackend(), so a simulator
-  /// normally inherits the --backend selection; tests and benchmarks pin
-  /// one explicitly. Not thread-safe against concurrent use — set it
-  /// before sharing the simulator.
+  /// defers to the process-wide exec::currentBackend() (cpu_band); tests
+  /// and benchmarks pin cpu_scalar, the full-grid reference, to compare
+  /// against it. Not thread-safe against concurrent use — set it before
+  /// sharing the simulator.
   void setBackend(const exec::Backend* backend) { backend_ = backend; }
   [[nodiscard]] const exec::Backend& activeBackend() const {
     return backend_ ? *backend_ : exec::currentBackend();

@@ -4,6 +4,8 @@
 /// direct reference used by the tests. The lithography engine keeps kernels
 /// as full-grid spectra, so the hot path is "multiply spectra, inverse FFT".
 
+#include <vector>
+
 #include "math/fft.hpp"
 #include "math/grid.hpp"
 
@@ -45,5 +47,10 @@ ComplexGrid convolveSpectrumWithSpectrum(const ComplexGrid& signalSpectrum,
 /// scratch. sigma <= 0 returns the input unchanged. The operator is
 /// self-adjoint, which the ILT gradient chain relies on.
 RealGrid gaussianBlur(const RealGrid& grid, double sigmaPx);
+
+/// The per-axis factors of gaussianBlur's multiplier for an axis of `n`
+/// samples: entry i is exp(-2 pi^2 sigma^2 f_i^2) with f_i the signed
+/// frequency of index i. The 2-D multiplier is rowFactor[r] * colFactor[c].
+std::vector<double> gaussianAxisFactors(int n, double sigmaPx);
 
 }  // namespace mosaic

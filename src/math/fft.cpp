@@ -367,6 +367,36 @@ void Fft2d::inverseRealInto(ComplexGrid& spectrum, RealGrid& out) const {
   }
 }
 
+void Fft2d::inverseRealPartInto(ComplexGrid& spectrum, RealGrid& out) const {
+  MOSAIC_CHECK(spectrum.rows() == rows_ && spectrum.cols() == cols_,
+               "spectrum shape mismatch in real-part inverse FFT");
+  // Below 2 x 2 inverseRealInto runs the complex inverse and keeps the
+  // real part, which needs no fold.
+  if (rows_ >= 2 && cols_ >= 2) {
+    // Columns (0, cols/2) pair with columns (cols/2, cols), which are
+    // only read; columns 0 and cols/2 pair with themselves (row r with
+    // row -r), so both ends of each pair are written together.
+    const int half = cols_ / 2;
+    for (int r = 0; r < rows_; ++r) {
+      const std::complex<double>* mirror = spectrum.rowPtr((rows_ - r) % rows_);
+      std::complex<double>* row = spectrum.rowPtr(r);
+      for (int c = 1; c < half; ++c) {
+        row[c] = 0.5 * (row[c] + std::conj(mirror[cols_ - c]));
+      }
+    }
+    for (const int c : {0, half}) {
+      for (int r = 0; r <= rows_ / 2; ++r) {
+        const int mr = (rows_ - r) % rows_;
+        const std::complex<double> a = spectrum(r, c);
+        const std::complex<double> b = spectrum(mr, c);
+        spectrum(r, c) = 0.5 * (a + std::conj(b));
+        spectrum(mr, c) = 0.5 * (b + std::conj(a));
+      }
+    }
+  }
+  inverseRealInto(spectrum, out);
+}
+
 namespace {
 
 /// Append-only plan list: readers walk it lock-free, inserts take the

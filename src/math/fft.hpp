@@ -105,11 +105,11 @@ class Fft2d {
   /// `spectrum` actually being (half of) a Hermitian spectrum.
   void inverseRealInto(ComplexGrid& spectrum, RealGrid& out) const;
 
-  /// The cached 1-D plans, exposed so execution backends (math/backend)
-  /// can drive their own pruned/batched passes off the same twiddle and
-  /// bit-reversal tables instead of rebuilding them.
-  [[nodiscard]] const FftPlan& rowPlan() const { return rowPlan_; }
-  [[nodiscard]] const FftPlan& colPlan() const { return colPlan_; }
+  /// out = Re(ifft(spectrum)) for any spectrum, Hermitian or not: folds
+  /// the spectrum onto its Hermitian part (X(k) + conj(X(-k))) / 2 in
+  /// place over columns [0, cols/2], then runs inverseRealInto. The grid
+  /// is clobbered. The ILT gradient, 2 Re(ifft(accumulator)), uses it.
+  void inverseRealPartInto(ComplexGrid& spectrum, RealGrid& out) const;
 
  private:
   void transformRows(ComplexGrid& grid, bool invert) const;

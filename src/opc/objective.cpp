@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "math/backend.hpp"
-#include "math/convolution.hpp"
 #include "math/scratch.hpp"
 #include "math/stats.hpp"
 #include "support/failpoint.hpp"
@@ -131,16 +130,13 @@ RealGrid IltObjective::epeGradientField(const RealGrid& zNominal,
 void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
                                       const KernelSet& kernels,
                                       const RealGrid& gField,
-                                      RealGrid& grad) const {
+                                      ComplexGrid& accum) const {
   MOSAIC_SPAN("objective.gradient");
-  const int n = kernels.gridSize;
-  const Fft2d& fft = fft2dFor(n, n);
-
   // The per-kernel convolution chains of Eq. 17 run on the simulator's
-  // execution backend (same selection as the aerial path). The backend
-  // accumulates into the spectral accumulator, including the flip —
-  // equivalent to the old spec.flipped().accumulateProduct() without
-  // materializing a flipped copy per kernel per iteration.
+  // execution backend (same selection as the aerial path), which adds
+  // them, flip included, into the shared spectral accumulator. With
+  // resist diffusion the observed intensity is Blur(I_raw); the blur is
+  // self-adjoint, so the backend blurs dF/dI_observed into dF/dI_raw.
   std::vector<exec::SpectrumView> views;
   std::vector<double> weights;
   if (config_.gradientMode == GradientMode::kCombinedKernel) {
@@ -157,17 +153,10 @@ void IltObjective::accumulateGradient(const ComplexGrid& maskSpectrum,
       weights.push_back(kernels.weights[static_cast<std::size_t>(k)]);
     }
   }
-
-  scratch::ComplexLease accumLease(n, n);
-  ComplexGrid& accum = *accumLease;
-  accum.fill({0.0, 0.0});
   sim_.activeBackend().accumulateGradientChains(
-      fft, maskSpectrum, views.data(), weights.data(),
-      static_cast<int>(views.size()), gField, accum);
-  fft.inverse(accum);
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad.data()[i] += 2.0 * accum.data()[i].real();
-  }
+      maskSpectrum, views.data(), weights.data(),
+      static_cast<int>(views.size()), gField,
+      sim_.resist().diffusionSigmaNm / sim_.optics().pixelNm, accum);
 }
 
 IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
@@ -268,20 +257,18 @@ IltObjective::Evaluation IltObjective::evaluate(const RealGrid& mask,
   eval.pvbValue = pvbValue;
 
   if (needGradient) {
-    eval.gradMask = RealGrid(n, n, 0.0);
-    // With resist diffusion the observed intensity is Blur(I_raw); the
-    // blur is self-adjoint, so dF/dI_raw = Blur(dF/dI_observed).
-    const double diffusionPx =
-        sim_.resist().diffusionSigmaNm / sim_.optics().pixelNm;
+    // Every focus adds its chains to one spectral accumulator, and one
+    // real-output inverse turns it into dF/dM = 2 Re(ifft(accum)).
+    scratch::ComplexLease accumLease(n, n);
+    ComplexGrid& accum = *accumLease;
+    accum.fill({0.0, 0.0});
     for (const auto& [focus, g] : gByFocus) {
-      if (diffusionPx > 0.0) {
-        accumulateGradient(maskSpectrum, sim_.kernels(focus),
-                           gaussianBlur(g, diffusionPx), eval.gradMask);
-      } else {
-        accumulateGradient(maskSpectrum, sim_.kernels(focus), g,
-                           eval.gradMask);
-      }
+      accumulateGradient(maskSpectrum, sim_.kernels(focus), g, accum);
     }
+    eval.gradMask = RealGrid(n, n);
+    fft2dFor(n, n).inverseRealPartInto(accum, eval.gradMask);
+    exec::fullTransforms().add(1);
+    for (auto& v : eval.gradMask) v *= 2.0;
   }
 
   // Mask smoothness regularizer: F_reg = sum of squared forward

@@ -58,11 +58,12 @@ class IltObjective {
   RealGrid epeGradientField(const RealGrid& zNominal,
                             double* valueOut) const;
 
-  /// Accumulate the convolution chain 2 Re[(G . conj(A)) (*) H_flip] into
-  /// grad, for the kernel set of one focus condition (paper Eq. 15/17).
+  /// Add the spectrum of the convolution chain (G . conj(A)) (*) H_flip
+  /// for the kernel set of one focus condition into `accum` (paper
+  /// Eq. 15/17); the gradient is 2 Re(ifft(accum)) over all foci.
   void accumulateGradient(const ComplexGrid& maskSpectrum,
                           const KernelSet& kernels, const RealGrid& gField,
-                          RealGrid& grad) const;
+                          ComplexGrid& accum) const;
 
   const LithoSimulator& sim_;
   BitGrid target_;

@@ -194,7 +194,7 @@ Layout buildRandomClip(std::uint64_t seed, const RandomClipConfig& cfg) {
                    cfg.maxLengthNm >= cfg.minLengthNm,
                "length range invalid");
   Rng rng(seed);
-  Layout layout = makeLayout("R" + std::to_string(seed));
+  Layout layout = makeLayout(std::string("R").append(std::to_string(seed)));
 
   auto snap = [&](int v) { return (v / cfg.gridNm) * cfg.gridNm; };
   auto randomIn = [&](int lo, int hi) {

@@ -1,7 +1,9 @@
-/// Backend equivalence suite: cpu_scalar is the readable reference;
-/// cpu_simd (the library default) must agree to 1e-10 on aerial,
-/// gradient, and binary print across non-square grids, non-power-of-two
-/// kernel counts, and maxKernels-truncated sets.
+/// Backend equivalence suite: cpu_scalar is the readable full-grid
+/// reference; cpu_band (the library default) must agree to 1e-10 relative
+/// on aerial images, gradient accumulators and binary prints across grid
+/// sizes (including the Nc == N fallback), non-square grids, dose with
+/// blur and maxKernels-truncated sets, and its images must shift with the
+/// mask.
 
 #include <gtest/gtest.h>
 
@@ -108,94 +110,112 @@ double maxAbsDiff(const ComplexGrid& a, const ComplexGrid& b) {
   return m;
 }
 
-void expectAerialEquivalence(const exec::Backend& test, int rows, int cols,
-                             int kernelCount, double dose, double tol) {
-  Fixture fx(rows, cols, kernelCount);
-  const Fft2d& fft = fft2dFor(rows, cols);
-  RealGrid ref(rows, cols, 0.0);
-  RealGrid got(rows, cols, 0.0);
-  exec::scalarBackend().accumulateCoherentIntensity(
-      fft, fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount,
-      dose, ref);
-  test.accumulateCoherentIntensity(fft, fx.spectrum, fx.views.data(),
-                                   fx.weights.data(), kernelCount, dose,
-                                   got);
-  EXPECT_LT(maxAbsDiff(ref, got), tol)
-      << test.name() << " aerial mismatch at " << rows << "x" << cols
-      << " K=" << kernelCount << " dose=" << dose;
+/// max |a - b| / max |b|: the agreement measure the tests bound at 1e-10.
+template <typename Grid>
+double relativeDiff(const Grid& a, const Grid& b) {
+  double scale = 0.0;
+  for (const auto& v : b) scale = std::max(scale, std::abs(v));
+  return maxAbsDiff(a, b) / std::max(scale, 1e-300);
 }
 
-void expectGradientEquivalence(const exec::Backend& test, int rows, int cols,
-                               int kernelCount, double tol) {
+telemetry::Counter& coarseCounter() {
+  return telemetry::metrics().counter("litho.fft.coarse");
+}
+
+/// cpu_band against the cpu_scalar reference on the synthetic fixture.
+/// Returns the coarse transforms cpu_band ran (0 on the Nc == N fallback).
+std::uint64_t expectAerialEquivalence(int rows, int cols, int kernelCount,
+                                      double dose, double blurSigmaPx) {
   Fixture fx(rows, cols, kernelCount);
-  const Fft2d& fft = fft2dFor(rows, cols);
+  RealGrid ref(rows, cols);
+  RealGrid got(rows, cols);
+  exec::scalarBackend().coherentIntensity(fx.spectrum, fx.views.data(),
+                                          fx.weights.data(), kernelCount,
+                                          dose, blurSigmaPx, ref);
+  const std::uint64_t coarse0 = coarseCounter().value();
+  exec::bandBackend().coherentIntensity(fx.spectrum, fx.views.data(),
+                                        fx.weights.data(), kernelCount, dose,
+                                        blurSigmaPx, got);
+  EXPECT_LT(relativeDiff(got, ref), 1e-10)
+      << "aerial mismatch at " << rows << "x" << cols << " K=" << kernelCount
+      << " dose=" << dose << " blur=" << blurSigmaPx;
+  return coarseCounter().value() - coarse0;
+}
+
+std::uint64_t expectGradientEquivalence(int rows, int cols, int kernelCount,
+                                        double blurSigmaPx) {
+  Fixture fx(rows, cols, kernelCount);
   ComplexGrid ref(rows, cols, {0.0, 0.0});
   ComplexGrid got(rows, cols, {0.0, 0.0});
   exec::scalarBackend().accumulateGradientChains(
-      fft, fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount,
-      fx.gField, ref);
-  test.accumulateGradientChains(fft, fx.spectrum, fx.views.data(),
-                                fx.weights.data(), kernelCount, fx.gField,
-                                got);
-  EXPECT_LT(maxAbsDiff(ref, got), tol)
-      << test.name() << " gradient mismatch at " << rows << "x" << cols
-      << " K=" << kernelCount;
+      fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount, fx.gField,
+      blurSigmaPx, ref);
+  const std::uint64_t coarse0 = coarseCounter().value();
+  exec::bandBackend().accumulateGradientChains(
+      fx.spectrum, fx.views.data(), fx.weights.data(), kernelCount, fx.gField,
+      blurSigmaPx, got);
+  EXPECT_LT(relativeDiff(got, ref), 1e-10)
+      << "gradient mismatch at " << rows << "x" << cols
+      << " K=" << kernelCount << " blur=" << blurSigmaPx;
+  return coarseCounter().value() - coarse0;
 }
 
-TEST(BackendRegistry, NamesResolveAndAutoIsSimd) {
+TEST(BackendRegistry, NamesResolveAndAutoIsBand) {
   EXPECT_EQ(exec::findBackend("cpu_scalar"), &exec::scalarBackend());
-  EXPECT_EQ(exec::findBackend("cpu_simd"), &exec::simdBackend());
-  EXPECT_EQ(exec::findBackend("auto"), &exec::simdBackend());
+  EXPECT_EQ(exec::findBackend("cpu_band"), &exec::bandBackend());
+  EXPECT_EQ(exec::findBackend("auto"), &exec::bandBackend());
+  EXPECT_EQ(exec::findBackend("cpu_simd"), nullptr);
   EXPECT_EQ(exec::findBackend("gpu_magic"), nullptr);
   EXPECT_STREQ(exec::scalarBackend().name(), "cpu_scalar");
-  EXPECT_STREQ(exec::simdBackend().name(), "cpu_simd");
+  EXPECT_STREQ(exec::bandBackend().name(), "cpu_band");
 }
 
-TEST(BackendRegistry, LibraryDefaultIsSimd) {
+TEST(BackendRegistry, LibraryDefaultIsBand) {
   // No setCurrentBackend call anywhere in this binary: the default is
   // what every library consumer runs.
-  EXPECT_EQ(&exec::currentBackend(), &exec::simdBackend());
-  EXPECT_STREQ(exec::currentBackend().name(), "cpu_simd");
+  EXPECT_EQ(&exec::currentBackend(), &exec::bandBackend());
+  EXPECT_STREQ(exec::currentBackend().name(), "cpu_band");
 }
 
-TEST(BackendEquivalence, AerialSquare) {
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 8, 1.0, 1e-10);
+// The fixture's kernels reach |signed index| 6, so the coarse lattice is
+// 32^2: N = 32 is the Nc == N fallback (no coarse transforms), larger
+// grids run K + 1 coarse transforms per image and 2K + 1 per chain.
+TEST(BandEquivalence, AerialAcrossGridSizes) {
+  constexpr int kKernels = 8;
+  EXPECT_EQ(expectAerialEquivalence(32, 32, kKernels, 1.0, 0.0), 0u);
+  for (const int n : {64, 256, 512}) {
+    EXPECT_EQ(expectAerialEquivalence(n, n, kKernels, 1.0, 0.0),
+              std::uint64_t{kKernels + 1})
+        << n;
+  }
 }
 
-TEST(BackendEquivalence, AerialNonSquare) {
-  expectAerialEquivalence(exec::simdBackend(), 32, 128, 6, 1.0, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 128, 32, 6, 1.0, 1e-10);
+TEST(BandEquivalence, GradientAcrossGridSizes) {
+  constexpr int kKernels = 8;
+  EXPECT_EQ(expectGradientEquivalence(32, 32, kKernels, 0.0), 0u);
+  for (const int n : {64, 256, 512}) {
+    EXPECT_EQ(expectGradientEquivalence(n, n, kKernels, 0.0),
+              std::uint64_t{2 * kKernels + 1})
+        << n;
+  }
 }
 
-TEST(BackendEquivalence, AerialNonPow2KernelCount) {
-  // 5 and 7 kernels exercise the partial final batch (batch width 4).
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 5, 1.0, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 7, 1.0, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 1, 1.0, 1e-10);
+TEST(BandEquivalence, NonSquareGridsReduceOneAxis) {
+  // 32 rows hold the band already (Nc == N on that axis); 128 columns
+  // reduce to 32.
+  for (const auto& [rows, cols] : {std::pair{32, 128}, std::pair{128, 32}}) {
+    EXPECT_GT(expectAerialEquivalence(rows, cols, 6, 1.0, 0.0), 0u);
+    EXPECT_GT(expectGradientEquivalence(rows, cols, 6, 0.0), 0u);
+  }
 }
 
-TEST(BackendEquivalence, AerialWithDose) {
-  // Off-nominal dose exercises the backend-specific dose fold order.
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 8, 1.07, 1e-10);
-  expectAerialEquivalence(exec::simdBackend(), 64, 64, 8, 0.93, 1e-10);
-}
-
-TEST(BackendEquivalence, AerialTinyGridFallsBackToScalar) {
-  expectAerialEquivalence(exec::simdBackend(), 4, 4, 3, 1.1, 1e-14);
-}
-
-TEST(BackendEquivalence, GradientSquare) {
-  expectGradientEquivalence(exec::simdBackend(), 64, 64, 8, 1e-10);
-}
-
-TEST(BackendEquivalence, GradientNonSquare) {
-  expectGradientEquivalence(exec::simdBackend(), 32, 128, 6, 1e-10);
-  expectGradientEquivalence(exec::simdBackend(), 128, 32, 6, 1e-10);
-}
-
-TEST(BackendEquivalence, GradientNonPow2KernelCount) {
-  expectGradientEquivalence(exec::simdBackend(), 64, 64, 5, 1e-10);
-  expectGradientEquivalence(exec::simdBackend(), 64, 64, 7, 1e-10);
+TEST(BandEquivalence, DoseWithBlur) {
+  // Dose != 1 with the resist blur folded into the coarse spectra.
+  for (const int n : {32, 64, 256}) {
+    expectAerialEquivalence(n, n, 8, 1.07, 1.5);
+    expectAerialEquivalence(n, n, 8, 0.93, 3.0);
+    expectGradientEquivalence(n, n, 8, 1.5);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -234,27 +254,81 @@ TEST(LithoBackendEquivalence, AerialAndBinaryPrintMatchScalar) {
   sim.setBackend(&exec::scalarBackend());
   const RealGrid refAerial = sim.aerial(mask, corner);
   const BitGrid refPrint = sim.printBinary(refAerial);
-  sim.setBackend(&exec::simdBackend());
+  sim.setBackend(&exec::bandBackend());
   const RealGrid gotAerial = sim.aerial(mask, corner);
   const BitGrid gotPrint = sim.printBinary(gotAerial);
-  EXPECT_LT(maxAbsDiff(refAerial, gotAerial), 1e-10);
+  EXPECT_LT(relativeDiff(gotAerial, refAerial), 1e-10);
   EXPECT_EQ(refPrint, gotPrint);
+}
+
+TEST(LithoBackendEquivalence, AerialShiftsWithCyclicMaskShift) {
+  // Translation equivariance of the default path: shifting the mask
+  // cyclically by (dr, dc) pixels shifts the image by the same amount.
+  // The shift is not a multiple of N / Nc (128 / 32), so a wrong coarse
+  // index map (a sample landing on the wrong coarse frequency) shows up
+  // as a phase error here.
+  LithoSimulator sim(smallOptics());
+  const int n = sim.gridSize();
+  const RealGrid mask = testMask(n);
+  const int dr = 5;
+  const int dc = 11;
+  const auto shifted = [&](const RealGrid& g) {
+    RealGrid out(n, n);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < n; ++c) out((r + dr) % n, (c + dc) % n) = g(r, c);
+    }
+    return out;
+  };
+  for (const double focus : {0.0, 25.0}) {
+    const RealGrid image = sim.aerial(mask, {focus, 1.0});
+    const RealGrid moved = sim.aerial(shifted(mask), {focus, 1.0});
+    EXPECT_LT(relativeDiff(moved, shifted(image)), 1e-10) << focus;
+  }
 }
 
 TEST(LithoBackendEquivalence, MaxKernelsTruncation) {
   LithoSimulator sim(smallOptics());
   const RealGrid mask = testMask(sim.gridSize());
   const ComplexGrid spectrum = sim.maskSpectrum(mask);
-  const ProcessCorner corner{0.0, 0.98};
-  for (const int maxK : {1, 3, 24, 999}) {
-    sim.setBackend(&exec::scalarBackend());
-    const RealGrid ref = sim.aerialFromSpectrum(spectrum, corner, maxK);
-    sim.setBackend(&exec::simdBackend());
-    const RealGrid got = sim.aerialFromSpectrum(spectrum, corner, maxK);
-    EXPECT_LT(maxAbsDiff(ref, got), 1e-10) << "maxKernels=" << maxK;
+  const RealGrid gField = randomReal(sim.gridSize(), sim.gridSize(), 3);
+  // Six kernels split the lambda_5 == lambda_6 cluster at focus 25 and
+  // widen to seven there.
+  ASSERT_EQ(sim.kernels(25.0).truncatedCount(6), 7);
+  for (const ProcessCorner corner :
+       {ProcessCorner{0.0, 0.98}, ProcessCorner{25.0, 1.0}}) {
+    const KernelSet& set = sim.kernels(corner.focusNm);
+    for (const int maxK : {1, 3, 6, 24, 999}) {
+      sim.setBackend(&exec::scalarBackend());
+      const RealGrid ref = sim.aerialFromSpectrum(spectrum, corner, maxK);
+      sim.setBackend(&exec::bandBackend());
+      const RealGrid got = sim.aerialFromSpectrum(spectrum, corner, maxK);
+      EXPECT_LT(relativeDiff(got, ref), 1e-10)
+          << "focus " << corner.focusNm << " maxKernels=" << maxK;
+
+      // The per-kernel gradient chains over the same truncated set.
+      std::vector<exec::SpectrumView> views;
+      const int count = set.truncatedCount(maxK);
+      for (int k = 0; k < count; ++k) {
+        const SparseSpectrum& h = set.kernels[static_cast<std::size_t>(k)];
+        views.push_back({h.flatIndex.data(), h.value.data(),
+                         h.flatIndex.size()});
+      }
+      const int n = sim.gridSize();
+      ComplexGrid refAccum(n, n, {0.0, 0.0});
+      ComplexGrid gotAccum(n, n, {0.0, 0.0});
+      exec::scalarBackend().accumulateGradientChains(
+          spectrum, views.data(), set.weights.data(), count, gField, 0.0,
+          refAccum);
+      exec::bandBackend().accumulateGradientChains(
+          spectrum, views.data(), set.weights.data(), count, gField, 0.0,
+          gotAccum);
+      EXPECT_LT(relativeDiff(gotAccum, refAccum), 1e-10)
+          << "focus " << corner.focusNm << " maxKernels=" << maxK;
+    }
   }
   // A request beyond the set size clamps to the full sum (bit-identical
   // to maxKernels = 0 on the same backend).
+  const ProcessCorner corner{0.0, 0.98};
   const RealGrid clamped = sim.aerialFromSpectrum(spectrum, corner, 999);
   const RealGrid full = sim.aerialFromSpectrum(spectrum, corner, 0);
   EXPECT_EQ(maxAbsDiff(clamped, full), 0.0);
@@ -272,7 +346,7 @@ TEST(LithoBackendEquivalence, DoseAndBlurApplyExactlyOnce) {
   const RealGrid mask = testMask(n);
   const ProcessCorner corner{25.0, 1.05};
   const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                     &exec::simdBackend()};
+                                     &exec::bandBackend()};
   for (const exec::Backend* backend : backends) {
     plainSim.setBackend(backend);
     blurSim.setBackend(backend);
@@ -354,16 +428,15 @@ TEST(LithoBackendEquivalence, OneAerialSumPerDistinctFocus) {
 }
 
 // The shared dose-1 image, thresholded at dose * I, must give the same
-// prints as a per-corner aerialFromSpectrum at that dose. cpu_scalar
-// applies the dose in one sweep after the sum, cpu_simd folds it into the
-// kernel weights, and the resist blur sits between dose and threshold, so
-// both backends are pinned with and without blur: images agree to 1e-10,
-// prints exactly.
+// prints as a per-corner aerialFromSpectrum at that dose. Both backends
+// apply the dose in one sweep after the sum and the resist blur, so both
+// are pinned with and without blur: images agree to 1e-10, prints
+// exactly.
 TEST(LithoBackendEquivalence, SharedFocusImagesMatchPerCornerPrints) {
   LithoSimulator plainSim(smallOptics());
   LithoSimulator blurSim(smallOptics(), blurResist(20.0));
   const exec::Backend* backends[] = {&exec::scalarBackend(),
-                                     &exec::simdBackend()};
+                                     &exec::bandBackend()};
   for (LithoSimulator* sim : {&plainSim, &blurSim}) {
     for (const exec::Backend* backend : backends) {
       sim->setBackend(backend);

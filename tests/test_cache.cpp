@@ -17,8 +17,10 @@
 #include "cache/fingerprint.hpp"
 #include "cache/manifest.hpp"
 #include "cache/store.hpp"
+#include "litho/kernel_cache.hpp"
 #include "opc/mosaic.hpp"
 #include "suite/testcases.hpp"
+#include "support/hash.hpp"
 #include "tile/scheduler.hpp"
 
 namespace mosaic {
@@ -257,6 +259,32 @@ TEST(PatternStore, RoundtripsAnExactHit) {
   EXPECT_EQ(stats.inserts, 1u);
   EXPECT_EQ(stats.exactHits, 1u);
   EXPECT_EQ(stats.misses, 0u);
+}
+
+TEST(PatternStore, EntryUnderTheFullGridNumericsDigestMisses) {
+  // A mask stored before the band-limited SOCS path carries the digest
+  // without the numerics version; the same problem now looks it up under
+  // the versioned digest and must not paste the old mask as an exact hit.
+  const OpticsConfig optics;
+  const IltConfig ilt = defaultIltConfig(OpcMethod::kMosaicFast, kPixel);
+  Fnv1a legacy;
+  legacy.mix(opticsParameterDigest(optics));
+  legacy.mix(iltConfigDigest(ilt));
+  legacy.mix(0);
+  legacy.mix(768);
+  legacy.mix(kPixel);
+  const std::uint64_t current = solverConfigDigest(optics, ilt, 0, 768, kPixel);
+  ASSERT_NE(legacy.digest(), current);
+
+  PatternStore store({freshDir("mosaic_cache_numerics"), 0});
+  CachedSolution sol;
+  sol.mask = patternMask(48, 48, 0.5);
+  EXPECT_TRUE(store.insert(
+      fingerprintWindow(window768(kRects), kCore, kPixel, legacy.digest()),
+      sol));
+  const CacheLookup lookup = store.lookup(
+      fingerprintWindow(window768(kRects), kCore, kPixel, current));
+  EXPECT_EQ(lookup.kind, CacheHitKind::kMiss);
 }
 
 TEST(PatternStore, TranslatedPlacementReportsTheShift) {

@@ -202,6 +202,25 @@ TEST(FftEngine, InverseRealMatchesNaiveDft) {
   }
 }
 
+TEST(FftEngine, InverseRealPartMatchesNaiveDftOfAnySpectrum) {
+  for (const auto& [rows, cols] : kDftShapes) {
+    // No symmetry at all: inverseRealPartInto must return the real part
+    // of the full complex inverse (the gradient's 2 Re(ifft(accum))).
+    const ComplexGrid spectrum =
+        randomComplexGrid(rows, cols, 71u + rows + cols);
+    const ComplexGrid naive = naiveDft(spectrum, true);
+    ComplexGrid workspace = spectrum;
+    RealGrid fast(rows, cols);
+    fft2dFor(rows, cols).inverseRealPartInto(workspace, fast);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        EXPECT_NEAR(fast(r, c), naive(r, c).real(), 1e-12)
+            << rows << "x" << cols << " at (" << r << "," << c << ")";
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ blur regression
 
 TEST(FftEngine, GaussianBlurMatchesDirectSpatialConvolution) {

@@ -72,7 +72,7 @@ TEST(Layout, PatternAreaAndOverlapDetection) {
   l.addRect(10, 0, 20, 10);  // abutting is fine
   EXPECT_EQ(l.patternArea(), 200);
   l.addRect(5, 5, 15, 15);  // overlaps both
-  EXPECT_THROW(l.patternArea(), InvalidArgument);
+  EXPECT_THROW((void)l.patternArea(), InvalidArgument);
 }
 
 // --------------------------------------------------------------- raster

@@ -10,6 +10,7 @@
 #include <map>
 #include <vector>
 
+#include "eval/evaluator.hpp"
 #include "geometry/bitmap_ops.hpp"
 #include "geometry/raster.hpp"
 #include "math/convolution.hpp"
@@ -22,6 +23,7 @@
 #include "suite/testcases.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace mosaic {
 namespace {
@@ -443,9 +445,9 @@ IltObjective::Evaluation perCornerReference(const IltObjective& obj,
     }
   }
 
-  ref.gradMask = RealGrid(n, n, 0.0);
+  // One spectral accumulator over every focus, one real-part inverse.
   const double diffusionPx = resist.diffusionSigmaNm / sim.optics().pixelNm;
-  const Fft2d& fft = fft2dFor(n, n);
+  ComplexGrid accum(n, n, {0.0, 0.0});
   for (const auto& [focus, g] : gByFocus) {
     const KernelSet& set = sim.kernels(focus);
     std::vector<exec::SpectrumView> views;
@@ -463,16 +465,13 @@ IltObjective::Evaluation perCornerReference(const IltObjective& obj,
         weights.push_back(set.weights[static_cast<std::size_t>(k)]);
       }
     }
-    ComplexGrid accum(n, n, {0.0, 0.0});
     sim.activeBackend().accumulateGradientChains(
-        fft, spectrum, views.data(), weights.data(),
-        static_cast<int>(views.size()),
-        diffusionPx > 0.0 ? gaussianBlur(g, diffusionPx) : g, accum);
-    fft.inverse(accum);
-    for (std::size_t i = 0; i < accum.size(); ++i) {
-      ref.gradMask.data()[i] += 2.0 * accum.data()[i].real();
-    }
+        spectrum, views.data(), weights.data(),
+        static_cast<int>(views.size()), g, diffusionPx, accum);
   }
+  ref.gradMask = RealGrid(n, n);
+  fft2dFor(n, n).inverseRealPartInto(accum, ref.gradMask);
+  for (auto& v : ref.gradMask) v *= 2.0;
   ref.value = cfg.alpha * ref.targetValue + cfg.beta * ref.pvbValue;
   ref.zNominal = z;
   return ref;
@@ -514,6 +513,68 @@ TEST(Objective, SharedFocusImagesMatchPerCornerReference) {
       }
     }
   }
+}
+
+// Work-count gate (docs/observability.md): exact transform counts per
+// evaluation on the band-limited default path. An in-loop evaluation at
+// F = 2 foci runs 6 full-grid transforms (mask forward, 2 image
+// inverses, 2 dF/dI forwards, 1 gradient inverse); every per-kernel
+// transform runs on the coarse lattice.
+TEST(Objective, TransformCountsPerEvaluation) {
+  LithoSimulator& sim = coarseSim();
+  const BitGrid target = coarseTarget();
+  const RealGrid mask = smoothMask(target);
+  telemetry::Counter& full = telemetry::metrics().counter("litho.fft.full");
+  telemetry::Counter& coarse =
+      telemetry::metrics().counter("litho.fft.coarse");
+  telemetry::Counter& sums = telemetry::metrics().counter("litho.aerial_sum");
+  telemetry::Counter& spectra =
+      telemetry::metrics().counter("litho.mask_spectrum");
+  struct Work {
+    std::uint64_t full, coarse, sums, spectra;
+  };
+  const auto measure = [&](const auto& run) {
+    const Work before{full.value(), coarse.value(), sums.value(),
+                      spectra.value()};
+    run();
+    return Work{full.value() - before.full, coarse.value() - before.coarse,
+                sums.value() - before.sums, spectra.value() - before.spectra};
+  };
+
+  for (const GradientMode mode :
+       {GradientMode::kCombinedKernel, GradientMode::kPerKernel}) {
+    IltConfig cfg = defaultIltConfig(OpcMethod::kMosaicFast, 16);
+    cfg.gradientMode = mode;
+    const IltObjective obj(sim, target, cfg);
+    // Coarse transforms: K + 1 per image, 2 K' + 1 per gradient chain set
+    // (K' = 1 for the combined kernel).
+    std::uint64_t imageCoarse = 0;
+    std::uint64_t chainCoarse = 0;
+    for (const double focus : {0.0, 25.0}) {
+      const int k = sim.kernels(focus).truncatedCount(cfg.inLoopKernels);
+      const int chains = mode == GradientMode::kPerKernel ? k : 1;
+      imageCoarse += static_cast<std::uint64_t>(k) + 1;
+      chainCoarse += 2 * static_cast<std::uint64_t>(chains) + 1;
+    }
+    const Work withGradient = measure([&] { (void)obj.evaluate(mask, true); });
+    EXPECT_EQ(withGradient.full, 6u);
+    EXPECT_EQ(withGradient.coarse, imageCoarse + chainCoarse);
+    EXPECT_EQ(withGradient.sums, 2u);
+    EXPECT_EQ(withGradient.spectra, 1u);
+    const Work valueOnly = measure([&] { (void)obj.evaluate(mask, false); });
+    EXPECT_EQ(valueOnly.full, 3u);
+    EXPECT_EQ(valueOnly.coarse, imageCoarse);
+  }
+
+  // evaluateMask: one mask forward and one full-kernel image per focus.
+  const Work eval =
+      measure([&] { (void)evaluateMask(sim, mask, target, 0.0); });
+  EXPECT_EQ(eval.full, 3u);
+  EXPECT_EQ(eval.coarse, static_cast<std::uint64_t>(
+                             sim.kernels(0.0).kernelCount() + 1 +
+                             sim.kernels(25.0).kernelCount() + 1));
+  EXPECT_EQ(eval.sums, 2u);
+  EXPECT_EQ(eval.spectra, 1u);
 }
 
 TEST(Objective, TargetShapeMismatchThrows) {

@@ -75,7 +75,7 @@ TEST(Suite, BuildAllReturnsTen) {
   ASSERT_EQ(all.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(all[static_cast<std::size_t>(i)].name,
-              "B" + std::to_string(i + 1));
+              std::string("B").append(std::to_string(i + 1)));
   }
 }
 

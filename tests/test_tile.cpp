@@ -383,11 +383,12 @@ int seamViolations(const EpeResult& epe, const BitGrid& band) {
 /// B1-B4) through 2x2 tiles must stitch with no non-finite pixels, seam
 /// EPE within +-1 violation of a whole-region reference optimization and
 /// fewer than half the uncorrected chip's EPE violations (measured 0-28 %
-/// of them) on every chip, and a bounded seam disagreement. The disagreement of one
-/// chip moves with the gradient convention (B1: 3.9 % combined-kernel,
-/// 7.7 % per-kernel; B1-B4 span 1.1-14.4 % over 20-40 iterations), so the
-/// bound reads the median over the four chips: measured 5.9-10.2 % over
-/// those budgets and both gradient modes, bounded at 12 %.
+/// of them) on every chip, and a bounded seam disagreement. The
+/// disagreement of one chip moves with the gradient convention (B1:
+/// 3.9 % combined-kernel, 7.7 % per-kernel; B1-B4 span 1.1-14.4 % over
+/// 20-40 iterations), so the bound reads the median over the four chips:
+/// measured 5.9-10.2 % over those budgets and both gradient modes,
+/// bounded at 12 %.
 TEST(TileChip, EndToEndTiledMatchesWholeRegionOnSeams) {
   std::vector<double> disagreement;
   for (int index = 1; index <= 4; ++index) {

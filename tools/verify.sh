@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification of a MOSAIC checkout, one build tree per stage:
 #
-#   release  build-release  Release build, every tier-1 test (ctest -L tier1)
+#   release  build-release  Release build with MOSAIC_WERROR=ON (warnings are
+#                           errors), every tier-1 test (ctest -L tier1)
 #   asan     build-asan     ASan + UBSan (MOSAIC_SANITIZE=address), the tier-1
 #                           tests without the timing gates (benches and
 #                           examples are not built, so those are not registered)
@@ -43,7 +44,7 @@ stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then stages=(release asan tsan); fi
 for s in "${stages[@]}"; do
   case "$s" in
-    release) stage release build-release tier1 ;;
+    release) stage release build-release tier1 -DMOSAIC_WERROR=ON ;;
     asan)
       stage asan build-asan tier1 -DMOSAIC_SANITIZE=address \
         -DMOSAIC_BUILD_BENCH=OFF -DMOSAIC_BUILD_EXAMPLES=OFF ;;
